@@ -53,7 +53,6 @@ from .gf2 import (
     delete_columns,
     invert_square,
     kernel,
-    min_weight_in_coset,
     rank,
     solve_affine,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .diagram import KnotDiagram, ReducibleDiagram, is_irreducible
-from .gf2 import Gf2Matrix, Gf2Vector, delete_columns, invert_square
+from .gf2 import Gf2Matrix, _mul_rows, delete_columns, invert_square
 from .rcc import NotBlackWhitePair, RccMap, rcc_map
 
 _TABLE_LIMIT = 12  # precompute full effect tables up to 2^12 subsets
@@ -69,16 +69,12 @@ class RestrictedAlgebra:
     def effect_mask(self, mask: int) -> int:
         if self.effect_table is not None:
             return self.effect_table[mask]
-        out = 0
-        for i, row in enumerate(self.compact_rows):
-            out |= ((row & mask).bit_count() & 1) << i
-        return out
+        return _mul_rows(self.compact_rows, mask)
 
     def preimage_mask(self, crossings: int) -> int:
         if self.preimage_table is not None:
             return self.preimage_table[crossings]
-        v = self.inverse.mul_vec(Gf2Vector(self.rcc.diagram.n_crossings, crossings))
-        return v.bits
+        return _mul_rows(self.inverse.row_bits, crossings)
 
     # -- public operations ---------------------------------------------
 
@@ -148,12 +144,7 @@ def build_restricted(d: KnotDiagram, b: int, w: int) -> RestrictedAlgebra:
 
     effect_table = preimage_table = None
     if len(columns) <= _TABLE_LIMIT:
-        fwd = []
-        for mask in range(1 << len(columns)):
-            out = 0
-            for i, row in enumerate(square.row_bits):
-                out |= ((row & mask).bit_count() & 1) << i
-            fwd.append(out)
+        fwd = [_mul_rows(square.row_bits, mask) for mask in range(1 << len(columns))]
         back = [0] * len(fwd)
         for mask, img in enumerate(fwd):
             back[img] = mask
@@ -208,6 +199,35 @@ class AxiomReport:
     failure: str | None = None
 
 
+def _check_tuples(
+    check, elements: list, arity: int, exhaustive_limit: int, sample: int, seed: int
+) -> AxiomReport:
+    """Run ``check`` on ``arity``-tuples of elements until it reports a
+    failure.
+
+    Every tuple is checked, in ``itertools.product`` order, when there are at
+    most ``exhaustive_limit`` of them; otherwise ``sample`` tuples are drawn
+    entry by entry from ``random.Random(seed)``.
+    """
+    n = len(elements)
+    if n**arity <= exhaustive_limit:
+        mode = "exhaustive"
+        tuples = product(elements, repeat=arity)
+    else:
+        mode = "sampled"
+        rng = random.Random(seed)
+        tuples = (
+            [elements[rng.randrange(n)] for _ in range(arity)] for _ in range(sample)
+        )
+    checked = 0
+    for t in tuples:
+        failure = check(*t)
+        checked += 1
+        if failure:
+            return AxiomReport(False, mode, checked, failure)
+    return AxiomReport(True, mode, checked)
+
+
 def verify_axioms(
     alg, sample: int = 1000, seed: int = 0, exhaustive_limit: int = 40000
 ) -> AxiomReport:
@@ -218,7 +238,6 @@ def verify_axioms(
     not raised.
     """
     elements = list(alg.elements())
-    n = len(elements)
     top, bottom = alg.top, alg.bottom
 
     def check_triple(a, b, c) -> str | None:
@@ -239,24 +258,7 @@ def verify_axioms(
             return f"complement laws fail on {sorted(a)}"
         return None
 
-    checked = 0
-    if n**3 <= exhaustive_limit:
-        mode = "exhaustive"
-        for a, b, c in product(elements, repeat=3):
-            failure = check_triple(a, b, c)
-            checked += 1
-            if failure:
-                return AxiomReport(False, mode, checked, failure)
-    else:
-        mode = "sampled"
-        rng = random.Random(seed)
-        for _ in range(sample):
-            a, b, c = (elements[rng.randrange(n)] for _ in range(3))
-            failure = check_triple(a, b, c)
-            checked += 1
-            if failure:
-                return AxiomReport(False, mode, checked, failure)
-    return AxiomReport(True, mode, checked)
+    return _check_tuples(check_triple, elements, 3, exhaustive_limit, sample, seed)
 
 
 def verify_homomorphism(
@@ -266,7 +268,6 @@ def verify_homomorphism(
     """Check that the effect map turns join/meet/complement into
     union/intersection/complement on the crossing side."""
     elements = list(alg.elements())
-    n = len(elements)
     full = frozenset(range(alg.diagram.n_crossings))
 
     def check_pair(a, b) -> str | None:
@@ -279,43 +280,22 @@ def verify_homomorphism(
             return f"complement image fails on {sorted(a)}"
         return None
 
-    checked = 0
-    if n * n <= exhaustive_limit:
-        mode = "exhaustive"
-        for a in elements:
-            for b in elements:
-                failure = check_pair(a, b)
-                checked += 1
-                if failure:
-                    return AxiomReport(False, mode, checked, failure)
-    else:
-        mode = "sampled"
-        rng = random.Random(seed)
-        for _ in range(sample):
-            a = elements[rng.randrange(n)]
-            b = elements[rng.randrange(n)]
-            failure = check_pair(a, b)
-            checked += 1
-            if failure:
-                return AxiomReport(False, mode, checked, failure)
-    return AxiomReport(True, mode, checked)
+    return _check_tuples(check_pair, elements, 2, exhaustive_limit, sample, seed)
 
 
 def verify_order_isomorphism(alg: RestrictedAlgebra) -> AxiomReport:
     """Exhaustively check: a <= b in P(S) iff effect(a) is a subset of
     effect(b). Only sensible at table scale (2^c elements)."""
     elements = list(alg.elements())
-    checked = 0
-    for a in elements:
-        fa = alg.effect(a)
-        for b in elements:
-            checked += 1
-            if alg.leq(a, b) != (fa <= alg.effect(b)):
-                return AxiomReport(
-                    False, "exhaustive", checked,
-                    f"order mismatch on {sorted(a)}, {sorted(b)}",
-                )
-    return AxiomReport(True, "exhaustive", checked)
+    effects = {a: alg.effect(a) for a in elements}
+
+    def check_pair(a, b) -> str | None:
+        if alg.leq(a, b) != (effects[a] <= effects[b]):
+            return f"order mismatch on {sorted(a)}, {sorted(b)}"
+        return None
+
+    n_pairs = len(elements) ** 2
+    return _check_tuples(check_pair, elements, 2, n_pairs, sample=0, seed=0)
 
 
 def black_white_pairs(d: KnotDiagram) -> list[tuple[int, int]]:

@@ -221,6 +221,8 @@ def cmd_catalog(args: argparse.Namespace) -> list[dict[str, Any]]:
             ur, cert = region_unknotting_number(d)
             payload["ur"] = ur
             payload["bounds_ok"] = cert.meets_weak_bound and cert.meets_strong_bound
+        else:  # u_R not computed, so there is no bound to check
+            payload["bounds_ok"] = None
         shift = small_unknotting_set(d)
         payload["certificate"] = _certificate_payload(shift)
         pairs = black_white_pairs(d)
@@ -232,7 +234,7 @@ def cmd_catalog(args: argparse.Namespace) -> list[dict[str, Any]]:
         )
         payload["elapsed_ms"] = round(1000 * (time.monotonic() - t0), 2)
         records.append(payload)
-        bounds = "yes" if payload.get("bounds_ok") else "NO"
+        bounds = {True: "yes", False: "NO", None: "-"}[payload["bounds_ok"]]
         print(
             f"{e.name:8} {payload['crossings']:>2} {payload['regions']:>3} "
             f"{payload['black']:>3} {payload['white']:>3} {payload['rank']:>4} "

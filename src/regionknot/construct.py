@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import KnotDiagram, MultipleComponents, edge_arrivals, parse_pd
+from .diagram import (
+    KnotDiagram,
+    MultipleComponents,
+    _passages,
+    _slot_mates,
+    edge_arrivals,
+    parse_pd,
+)
 
 
 class NotAKnot(ValueError):
@@ -47,33 +54,22 @@ class _Rotation:
     def to_diagram(self) -> KnotDiagram:
         """Orient, label edges along the traversal, and emit a PD code."""
         tuples = [tuple(self._root(e) for e in t) for t in self.crossings]
-        occ: dict[int, list[tuple[int, int]]] = {}
-        for i, t in enumerate(tuples):
-            for s, e in enumerate(t):
-                occ.setdefault(e, []).append((i, s))
-        for arc, places in occ.items():
-            if len(places) != 2:
-                raise AssertionError(f"arc {arc} has {len(places)} crossing ends")
-
-        # Unoriented traversal: enter a slot, leave two slots further around.
-        n_pass = 2 * len(tuples)
-        start = min(occ)
-        cur = min(occ[start])
-        label: dict[tuple[int, int], int] = {}
-        seen: set[tuple[int, int]] = set()
-        for step in range(n_pass):
-            i, s = cur
-            key = (i, s % 2)
-            if key in seen:
-                raise NotAKnot("closure has more than one component")
-            seen.add(key)
-            label[(i, s)] = step + 1  # arrival end of edge step+1
-            exit_slot = (s + 2) % 4
-            label[(i, exit_slot)] = step + 2 if step + 1 < n_pass else 1
-            a, b = occ[tuples[i][exit_slot]]
-            cur = b if a == (i, exit_slot) else a
-        if len(seen) != n_pass:
+        mates = _slot_mates(tuples)
+        roots = {self._root(a) for a in range(self._next_arc)}
+        if roots - {e for t in tuples for e in t}:
+            # an arc in no crossing is a closed loop of its own
             raise NotAKnot("closure has more than one component")
+
+        # Unoriented traversal from the first end of the smallest arc id.
+        n_pass = 2 * len(tuples)
+        start = min(mates, key=lambda p: (tuples[p[0]][p[1]], p))
+        label: dict[tuple[int, int], int] = {}
+        try:
+            for step, (i, s) in enumerate(_passages(mates, start)):
+                label[(i, s)] = step + 1  # arrival end of edge step+1
+                label[(i, (s + 2) % 4)] = step + 2 if step + 1 < n_pass else 1
+        except MultipleComponents as exc:
+            raise NotAKnot("closure has more than one component") from exc
 
         tokens = []
         for i in range(len(tuples)):
@@ -171,7 +167,12 @@ def closure_top_bottom(t: Tangle) -> KnotDiagram:
 
 def twist_stack(seq: list[int] | tuple[int, ...]) -> Tangle:
     """Alternating twist regions: odd positions twist the bottom ends,
-    even positions the right-hand ends."""
+    even positions the right-hand ends. Every entry must be a positive
+    integer."""
+    if not seq:
+        raise ValueError("twist sequence must be nonempty")
+    if any(not isinstance(a, int) or a < 1 for a in seq):
+        raise ValueError("twist entries must be positive integers")
     t = vertical_strands()
     for idx, a in enumerate(seq):
         if idx % 2 == 0:
@@ -189,10 +190,6 @@ def rational_diagram(seq: list[int] | tuple[int, ...]) -> KnotDiagram:
     diagrams with c = sum(seq) crossings. Raises NotAKnot when the closure
     traces a two-component link (even-numerator fractions, e.g. T(2), T(4)).
     """
-    if not seq:
-        raise ValueError("twist sequence must be nonempty")
-    if any(not isinstance(a, int) or a < 1 for a in seq):
-        raise ValueError("twist entries must be positive integers")
     t = twist_stack(seq)
     if len(seq) % 2 == 1:
         return closure_sides(t)
@@ -212,7 +209,9 @@ def montesinos_diagram(*sequences: list[int] | tuple[int, ...]) -> KnotDiagram:
 def braid_closure(word: list[int] | tuple[int, ...], strands: int) -> KnotDiagram:
     """Plain closure of a braid word; letter ±k is a crossing of strands k, k+1.
 
-    Positive letters put the left strand over the right one.
+    Positive letters put the left strand over the right one. Raises NotAKnot
+    when the closure has more than one component, including strands that no
+    letter touches.
     """
     if strands < 2:
         raise ValueError("need at least two strands")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class MalformedToken(ValueError):
@@ -156,35 +156,46 @@ class Coloring:
     def n_regions(self) -> int:
         return len(self.black) + len(self.white)
 
-    def color_of(self, region: int) -> str:
-        return "black" if region in self.black else "white"
-
 
 _TOKEN = re.compile(r"^X\[(\d+),(\d+),(\d+),(\d+)\]$")
 
 
-def _walk(tuples: list[tuple[int, int, int, int]]) -> tuple[list[int], dict[int, tuple[int, int]], dict[int, int]]:
-    """Trace the closed curve through every crossing passage.
+def _slot_mates(
+    tuples: list[tuple[int, int, int, int]]
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """Pair each (crossing, slot) with the other slot carrying its edge label.
 
-    Starts by entering crossing 0 at slot 0 and follows the strand (a passage
-    always exits two slots further around). Returns the edge sequence in
-    traversal order, each edge's arrival occurrence, and the over-entry slot
-    per crossing.
-
-    Raises MultipleComponents if the walk closes early and MalformedToken if
-    some under-strand is met against its stated direction.
+    Raises EdgeLabelNotTwice, naming the smallest offending label, unless
+    every label appears exactly twice.
     """
     occ: dict[int, list[tuple[int, int]]] = {}
     for i, t in enumerate(tuples):
         for s, e in enumerate(t):
             occ.setdefault(e, []).append((i, s))
+    bad = [e for e, places in occ.items() if len(places) != 2]
+    if bad:
+        label = min(bad)
+        raise EdgeLabelNotTwice(f"edge label {label} appears {len(occ[label])} times")
+    mates = {}
+    for a, b in occ.values():
+        mates[a] = b
+        mates[b] = a
+    return mates
 
-    n_pass = 2 * len(tuples)
-    edge_seq: list[int] = []
-    arrival: dict[int, tuple[int, int]] = {}
-    over_in: dict[int, int] = {}
+
+def _passages(
+    mates: dict[tuple[int, int], tuple[int, int]], start: tuple[int, int]
+) -> Iterator[tuple[int, int]]:
+    """Follow the curve in at the (crossing, slot) ``start`` and yield the
+    entry slot of every passage in order; a passage always exits two slots
+    further around.
+
+    Raises MultipleComponents if the curve closes before it has passed every
+    crossing twice.
+    """
+    n_pass = len(mates) // 2
     seen: set[tuple[int, int]] = set()
-    cur = (0, 0)
+    cur = start
     for _ in range(n_pass):
         i, s = cur
         key = (i, s % 2)  # passage id: crossing + which strand
@@ -193,24 +204,32 @@ def _walk(tuples: list[tuple[int, int, int, int]]) -> tuple[list[int], dict[int,
                 f"walk returned to crossing {i} before covering every passage"
             )
         seen.add(key)
+        yield cur
+        cur = mates[(i, (s + 2) % 4)]
+    if cur != start:
+        raise MalformedToken("traversal did not close up")
+
+
+def _walk(tuples: list[tuple[int, int, int, int]]) -> tuple[list[int], dict[int, int]]:
+    """Trace the closed curve through every crossing passage.
+
+    Starts by entering crossing 0 at slot 0. Returns the edge sequence in
+    traversal order and the over-entry slot per crossing.
+
+    Raises MultipleComponents if the walk closes early and MalformedToken if
+    some under-strand is met against its stated direction.
+    """
+    edge_seq: list[int] = []
+    over_in: dict[int, int] = {}
+    for i, s in _passages(_slot_mates(tuples), (0, 0)):
         if s == 2:
             raise MalformedToken(
                 f"under-strand direction conflict at crossing {i}"
             )
         if s in (1, 3):
             over_in[i] = s
-        edge_in = tuples[i][s]
-        edge_seq.append(edge_in)
-        arrival[edge_in] = (i, s)
-        exit_slot = (s + 2) % 4
-        edge_out = tuples[i][exit_slot]
-        a, b = occ[edge_out]
-        cur = b if a == (i, exit_slot) else a
-    if cur != (0, 0):
-        raise MalformedToken("traversal did not close up")
-    if len(seen) != n_pass:
-        raise MultipleComponents("unvisited passages remain")
-    return edge_seq, arrival, over_in
+        edge_seq.append(tuples[i][s])
+    return edge_seq, over_in
 
 
 def parse_pd(text: str) -> KnotDiagram:
@@ -233,15 +252,7 @@ def parse_pd(text: str) -> KnotDiagram:
             raise MalformedToken(f"labels must be positive in {tok!r}")
         tuples.append(labels)  # type: ignore[arg-type]
 
-    counts: dict[int, int] = {}
-    for t in tuples:
-        for e in t:
-            counts[e] = counts.get(e, 0) + 1
-    for label, n in sorted(counts.items()):
-        if n != 2:
-            raise EdgeLabelNotTwice(f"edge label {label} appears {n} times")
-
-    edge_seq, _, over_in = _walk(tuples)
+    edge_seq, over_in = _walk(tuples)
     n_edges = len(edge_seq)
     anchor = edge_seq.index(min(edge_seq))
     relabel = {
@@ -269,17 +280,10 @@ def faces(d: KnotDiagram) -> RegionMap:
     if c == 0:
         return RegionMap(0, ((), ()), (), ())
 
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for i, x in enumerate(d.crossings):
-        for s, e in enumerate(x.edges):
-            occ.setdefault(e, []).append((i, s))
-
-    def mate(dart: tuple[int, int]) -> tuple[int, int]:
-        i, s = dart
-        a, b = occ[d.crossings[i].edges[s]]
-        return b if a == dart else a
-
-    arrivals = edge_arrivals(d)
+    mates = _slot_mates([x.edges for x in d.crossings])
+    # Each edge as its (start, end) darts: the slot it leaves and the slot it
+    # runs into.
+    darts = [(mates[end], end) for end in edge_arrivals(d)]
     face_of: dict[tuple[int, int], int] = {}
     regions: list[tuple[tuple[int, int], ...]] = []
 
@@ -289,16 +293,13 @@ def faces(d: KnotDiagram) -> RegionMap:
         dart = seed
         while dart not in face_of:
             face_of[dart] = idx
-            j, t = mate(dart)
+            j, t = mates[dart]
             corners.append((j, t))
             dart = (j, (t + 1) % 4)
         regions.append(tuple(corners))
 
-    for e in range(1, 2 * c + 1):
-        end = arrivals[e - 1]
-        a, b = occ[e]
-        start = b if a == end else a
-        for seed in (start, end):
+    for edge in darts:
+        for seed in edge:
             if seed not in face_of:
                 trace(seed)
 
@@ -312,12 +313,7 @@ def faces(d: KnotDiagram) -> RegionMap:
         corner_region.append(
             tuple(face_of[(i, (k + 1) % 4)] for k in range(4))
         )
-    edge_sides = []
-    for e in range(1, 2 * c + 1):
-        end = arrivals[e - 1]
-        a, b = occ[e]
-        start = b if a == end else a
-        edge_sides.append((face_of[start], face_of[end]))
+    edge_sides = [(face_of[start], face_of[end]) for start, end in darts]
 
     return RegionMap(
         c,

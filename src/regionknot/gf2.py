@@ -72,6 +72,15 @@ class Gf2Vector:
         return "".join(str(self.get(i)) for i in range(self.length))
 
 
+def _mul_rows(rows: Iterable[int], bits: int) -> int:
+    """Matrix-vector product on packed ints: bit i of the result is the
+    parity of ``rows[i] & bits``."""
+    out = 0
+    for i, row in enumerate(rows):
+        out |= ((row & bits).bit_count() & 1) << i
+    return out
+
+
 @dataclass(frozen=True)
 class Gf2Matrix:
     """Row-major bit-packed matrix over GF(2)."""
@@ -108,10 +117,7 @@ class Gf2Matrix:
     def mul_vec(self, v: Gf2Vector) -> Gf2Vector:
         if v.length != self.cols:
             raise ValueError("dimension mismatch")
-        out = 0
-        for i, row in enumerate(self.row_bits):
-            out |= ((row & v.bits).bit_count() & 1) << i
-        return Gf2Vector(self.rows, out)
+        return Gf2Vector(self.rows, _mul_rows(self.row_bits, v.bits))
 
     def __str__(self) -> str:
         return "\n".join(
@@ -150,53 +156,41 @@ class AffineSolution:
             yield Gf2Vector(self.particular.length, cur)
 
 
-def rank(m: Gf2Matrix) -> int:
-    """Row rank by elimination mod 2, leftmost pivots first."""
-    work = list(m.row_bits)
-    r = 0
-    for col in range(m.cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> col) & 1:
-                work[i] ^= work[r]
-        r += 1
-        if r == len(work):
-            break
-    return r
+def _eliminate(rows: list[int], cols: int) -> list[int]:
+    """Gauss-Jordan elimination in place on packed rows; returns the pivot
+    columns, pivot k ending up in row k.
 
-
-def _reduced_form(m: Gf2Matrix, b: int) -> tuple[list[int], list[int], list[int]]:
-    """Gauss-Jordan on [M | b]; returns (rows, rhs, pivot columns)."""
-    work = list(m.row_bits)
-    rhs = [(b >> i) & 1 for i in range(m.rows)]
+    Pivots are taken in columns below ``cols`` only, leftmost column first
+    and topmost candidate row first. Bits at ``cols`` and above (a
+    right-hand side or an identity block) take part in every row operation.
+    """
     pivots: list[int] = []
+    n = len(rows)
     r = 0
-    for col in range(m.cols):
+    for col in range(cols):
+        bit = 1 << col
         pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> col) & 1:
+        for i in range(r, n):
+            if rows[i] & bit:
                 pivot = i
                 break
         if pivot is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> col) & 1:
-                work[i] ^= work[r]
-                rhs[i] ^= rhs[r]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        for i in range(n):
+            if i != r and rows[i] & bit:
+                rows[i] ^= top
         pivots.append(col)
         r += 1
-        if r == len(work):
+        if r == n:
             break
-    return work, rhs, pivots
+    return pivots
+
+
+def rank(m: Gf2Matrix) -> int:
+    """Row rank by elimination mod 2, leftmost pivots first."""
+    return len(_eliminate(list(m.row_bits), m.cols))
 
 
 def solve_affine(m: Gf2Matrix, b: Gf2Vector) -> AffineSolution:
@@ -207,55 +201,32 @@ def solve_affine(m: Gf2Matrix, b: Gf2Vector) -> AffineSolution:
     """
     if b.length != m.rows:
         raise ValueError("right-hand side length must equal row count")
-    work, rhs, pivots = _reduced_form(m, b.bits)
-    for i in range(len(work)):
-        if work[i] == 0 and rhs[i]:
-            raise Inconsistent("b is outside the column space")
+    cols = m.cols
+    rows = [row | ((b.bits >> i) & 1) << cols for i, row in enumerate(m.row_bits)]
+    pivots = _eliminate(rows, cols)
+    if any(rows[len(pivots):]):  # a zero row left with a nonzero right-hand side
+        raise Inconsistent("b is outside the column space")
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    free_cols = [c for c in range(cols) if c not in pivot_set]
 
     particular = 0
     for row_idx, col in enumerate(pivots):
-        if rhs[row_idx]:
+        if rows[row_idx] >> cols:
             particular |= 1 << col
 
     basis = []
     for f in free_cols:
         vec = 1 << f
         for row_idx, col in enumerate(pivots):
-            if (work[row_idx] >> f) & 1:
+            if (rows[row_idx] >> f) & 1:
                 vec |= 1 << col
-        basis.append(Gf2Vector(m.cols, vec))
-    return AffineSolution(Gf2Vector(m.cols, particular), tuple(basis))
+        basis.append(Gf2Vector(cols, vec))
+    return AffineSolution(Gf2Vector(cols, particular), tuple(basis))
 
 
 def kernel(m: Gf2Matrix) -> tuple[Gf2Vector, ...]:
     """Basis of the null space {x : Mx = 0}."""
     return solve_affine(m, Gf2Vector(m.rows, 0)).kernel_basis
-
-
-def _lex_key(v: Gf2Vector) -> int:
-    # Smaller key = lexicographically smaller bit string (index 0 read first).
-    out = 0
-    for i in range(v.length):
-        out = (out << 1) | ((v.bits >> i) & 1)
-    return out
-
-
-def min_weight_in_coset(s: AffineSolution, max_dim: int = 20) -> Gf2Vector:
-    """Minimum-Hamming-weight element of the solution coset.
-
-    Ties break to the lexicographically smallest bit string. Enumerates all
-    2**k coset elements, so the kernel dimension is guarded.
-    """
-    best: Gf2Vector | None = None
-    best_key: tuple[int, int] | None = None
-    for v in s.enumerate(max_dim=max_dim):
-        key = (v.weight(), _lex_key(v))
-        if best_key is None or key < best_key:
-            best, best_key = v, key
-    assert best is not None
-    return best
 
 
 def delete_columns(m: Gf2Matrix, cols: Iterable[int]) -> Gf2Matrix:
@@ -279,22 +250,9 @@ def invert_square(m: Gf2Matrix) -> Gf2Matrix:
     if m.rows != m.cols:
         raise ValueError("matrix is not square")
     n = m.rows
-    work = list(m.row_bits)
-    inv = [1 << i for i in range(n)]
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, n):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            raise Singular(f"no pivot in column {col}")
-        work[r], work[pivot] = work[pivot], work[r]
-        inv[r], inv[pivot] = inv[pivot], inv[r]
-        for i in range(n):
-            if i != r and (work[i] >> col) & 1:
-                work[i] ^= work[r]
-                inv[i] ^= inv[r]
-        r += 1
-    return Gf2Matrix(n, n, tuple(inv))
+    rows = [row | 1 << (n + i) for i, row in enumerate(m.row_bits)]
+    pivots = _eliminate(rows, n)
+    if len(pivots) < n:
+        col = next(c for c, p in enumerate(pivots + [n]) if c != p)
+        raise Singular(f"no pivot in column {col}")
+    return Gf2Matrix(n, n, tuple(row >> n for row in rows))

@@ -27,7 +27,6 @@ from .diagram import (
     is_irreducible,
 )
 from .gf2 import (
-    AffineSolution,
     Gf2Matrix,
     Gf2Vector,
     delete_columns,
@@ -87,6 +86,14 @@ def _to_vector(s: frozenset[int], length: int) -> Gf2Vector:
     return Gf2Vector.from_indices(length, s)
 
 
+def _region_set_key(s: RegionSet) -> tuple[int, list[int]]:
+    """The canonical order on region sets: smaller sets first, then by the
+    sorted region indices ({0, 2} before {1, 3}). It picks the minimum
+    solution, the u_R coset representative and the certificate's
+    BW-complement."""
+    return (len(s), sorted(s))
+
+
 def phi(m: RccMap, s: RegionSet) -> CrossingSet:
     """Crossings changed by performing RCC at every region of ``s``."""
     v = m.matrix.mul_vec(_to_vector(s, m.region_map.n_regions))
@@ -101,19 +108,14 @@ def apply_rcc(d: KnotDiagram, m: RccMap, s: RegionSet) -> KnotDiagram:
 def solve_for_crossings(m: RccMap, target: CrossingSet) -> list[RegionSet]:
     """The four region sets realizing exactly the target crossing changes.
 
-    Always solvable (the matrix is full rank); sorted by (cardinality,
-    lexicographic) so output is stable.
+    Always solvable (the matrix is full rank); sorted in the canonical order
+    (``_region_set_key``) so output is stable.
     """
     b = _to_vector(target, m.diagram.n_crossings)
     sol = solve_affine(m.matrix, b)
     out = [frozenset(v.indices()) for v in sol.enumerate()]
     assert len(out) == 4, "region choice kernel must have dimension 2"
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
-def affine_solutions(m: RccMap, target: CrossingSet) -> AffineSolution:
-    """The raw affine solution of Mx = target, for weight searches."""
-    return solve_affine(m.matrix, _to_vector(target, m.diagram.n_crossings))
+    return sorted(out, key=_region_set_key)
 
 
 def bw_complements(m: RccMap, s: RegionSet) -> tuple[RegionSet, RegionSet, RegionSet]:

@@ -22,7 +22,7 @@ from .diagram import (
     is_irreducible,
 )
 from .polynomial import LaurentPolynomial
-from .rcc import phi, rcc_map, solve_for_crossings
+from .rcc import _region_set_key, bw_complements, phi, rcc_map, solve_for_crossings
 
 JONES_GUARD = 14
 UR_GUARD = 10
@@ -212,14 +212,7 @@ def monotone_target(d: KnotDiagram, p: Basepoint) -> frozenset[int]:
 def _class_representative(
     s: frozenset[int], kernel_sets: tuple[frozenset[int], ...]
 ) -> frozenset[int]:
-    best = s
-    best_key = (len(s), sorted(s))
-    for k in kernel_sets:
-        t = s ^ k
-        key = (len(t), sorted(t))
-        if key < best_key:
-            best, best_key = t, key
-    return best
+    return min((s ^ k for k in kernel_sets), key=_region_set_key)
 
 
 def region_unknotting_number(
@@ -272,12 +265,6 @@ def bw_complement_bound(s: frozenset[int], col: Coloring) -> int:
     return min(sizes)
 
 
-def _min_bw_complement(s: frozenset[int], col: Coloring) -> frozenset[int]:
-    full = col.black | col.white
-    candidates = [s, s ^ col.black, s ^ col.white, s ^ full]
-    return min(candidates, key=lambda t: (len(t), sorted(t)))
-
-
 def small_unknotting_set(d: KnotDiagram) -> UnknottingCertificate:
     """Constructive unknotting set of size at most (c + 1) / 2.
 
@@ -310,7 +297,7 @@ def small_unknotting_set(d: KnotDiagram) -> UnknottingCertificate:
         t = solve_for_crossings(m, frozenset({crossing_passed}))[0]
         s = s ^ t
 
-    best = _min_bw_complement(s, col)
+    best = min((s, *bw_complements(m, s)), key=_region_set_key)
     changed = phi(m, best)
     poly = jones_normalized(apply_crossing_changes(d, changed))
     cert = UnknottingCertificate(

@@ -1,5 +1,7 @@
 """The restricted Boolean algebra and its isomorphism with the crossing side."""
 
+import random
+
 import pytest
 
 from regionknot.boolalg import (
@@ -11,7 +13,7 @@ from regionknot.boolalg import (
     verify_order_isomorphism,
 )
 from regionknot.catalog import bundled_diagram
-from regionknot.construct import add_kink
+from regionknot.construct import add_kink, rational_diagram
 from regionknot.diagram import ReducibleDiagram, parse_pd
 from regionknot.rcc import NotBlackWhitePair, phi, rcc_map
 
@@ -139,3 +141,22 @@ def test_round_trip_identities_at_six_crossings():
         for a in alg.elements():
             seen.add(alg.effect(a))
         assert len(seen) == alg.size
+
+
+def test_computed_path_above_table_limit():
+    # 13 crossings is above the table limit, so effect and preimage are
+    # computed by matrix products instead of looked up
+    d = rational_diagram([13])
+    b, w = black_white_pairs(d)[0]
+    alg = build_restricted(d, b, w)
+    assert alg.effect_table is None and alg.preimage_table is None
+    m = rcc_map(d)
+    columns = sorted(alg.ground_set)
+    rng = random.Random(13)
+    for _ in range(200):
+        a = frozenset(r for r in columns if rng.random() < 0.5)
+        assert alg.effect(a) == phi(m, a)
+        assert alg.preimage(alg.effect(a)) == a
+    report = verify_homomorphism(alg, sample=200, seed=3)
+    assert report.ok, report.failure
+    assert report.mode == "sampled"

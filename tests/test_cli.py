@@ -3,12 +3,19 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from regionknot.cli import main
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+# rational_diagram([2, 3, 4, 2]): irreducible, 11 crossings, above UR_GUARD
+ELEVEN = (
+    "X[1,8,2,9] X[9,2,10,3] X[3,22,4,1] X[21,4,22,5] X[5,20,6,21] X[19,11,20,10] "
+    "X[11,19,12,18] X[17,13,18,12] X[13,17,14,16] X[15,6,16,7] X[7,14,8,15]"
+)
+GOLDEN_CATALOG = Path(__file__).resolve().parents[1] / "bench" / "golden_catalog.jsonl"
 
 
 def run(capsys, *argv):
@@ -116,6 +123,26 @@ def test_catalog_full_bundled_table(tmp_path, capsys):
     assert all(r["splice_ok"] for r in recs)
     assert all(r["bool_ok"] for r in recs)
     assert all(r["certificate"]["le_half_c_plus_1"] for r in recs)
+    # Byte for byte the records the benchmark checks against, timing aside.
+    golden = GOLDEN_CATALOG.read_text().splitlines()
+    assert len(golden) == len(recs)
+    for rec, expected in zip(recs, golden):
+        del rec["elapsed_ms"]
+        assert json.dumps(rec) == expected, rec["name"]
+
+
+def test_catalog_above_ur_guard(tmp_path, capsys):
+    cat = tmp_path / "eleven.txt"
+    cat.write_text(f"11_rational\t{ELEVEN}\n")
+    records = tmp_path / "records.jsonl"
+    code, out = run(capsys, "--records", str(records), "catalog", "--path", str(cat))
+    assert code == 0
+    rec = json.loads(records.read_text())
+    assert rec["crossings"] == 11 and rec["irreducible"]
+    assert "ur" not in rec
+    assert rec["bounds_ok"] is None
+    row = out.strip().splitlines()[-1].split()
+    assert row[0] == "11_rational" and row[6] == "-" and row[-1] == "-"
 
 
 def test_console_entry_point():

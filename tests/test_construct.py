@@ -43,6 +43,9 @@ def test_bad_sequences_rejected():
         rational_diagram([])
     with pytest.raises(ValueError):
         rational_diagram([3, 0])
+    for seqs in (([3], [-2], [5]), ([3], [0], [5]), ([2, -1],)):
+        with pytest.raises(ValueError):
+            montesinos_diagram(*seqs)
 
 
 def test_rational_diagrams_are_reduced_alternating():
@@ -85,8 +88,10 @@ def test_braid_closure_trefoil():
 
 
 def test_braid_closure_multi_component_rejected():
-    with pytest.raises(NotAKnot):
-        braid_closure([1, 1], 2)  # Hopf link
+    # Hopf link; a trefoil beside two strands no letter touches; two circles
+    for word, strands in (([1, 1], 2), ([1, 1, 1], 5), ([], 2)):
+        with pytest.raises(NotAKnot):
+            braid_closure(word, strands)
 
 
 def test_montesinos_pretzel_determinant():

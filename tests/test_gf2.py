@@ -13,7 +13,6 @@ from regionknot.gf2 import (
     delete_columns,
     invert_square,
     kernel,
-    min_weight_in_coset,
     rank,
     solve_affine,
 )
@@ -80,35 +79,10 @@ def test_kernel_trefoil_spans_color_classes():
     assert span == {0, black, white, black ^ white}
 
 
-def test_min_weight_trivial_zero():
-    sol = AffineSolution(Gf2Vector(4, 0), (Gf2Vector.from_string("1100"),))
-    assert min_weight_in_coset(sol).bits == 0
-
-
-def test_min_weight_worked_example_coset():
-    # coset {10000, 11001, 00110, 01111} written index-0-first
-    particular = Gf2Vector.from_string("11001")
-    k1 = particular ^ Gf2Vector.from_string("10000")
-    k2 = particular ^ Gf2Vector.from_string("00110")
-    best = min_weight_in_coset(AffineSolution(particular, (k1, k2)))
-    assert str(best) == "10000"
-    assert best.weight() == 1
-
-
-def test_min_weight_lexicographic_tie_break():
-    # coset {1111, 0011}: weights 4 and 2 -> 0011; then make a genuine tie
-    sol = AffineSolution(Gf2Vector.from_string("1111"), (Gf2Vector.from_string("1100"),))
-    assert str(min_weight_in_coset(sol)) == "0011"
-    tie = AffineSolution(Gf2Vector.from_string("1010"), (Gf2Vector.from_string("1111"),))
-    # both elements have weight 2; 0101 is lexicographically larger than 1010? no:
-    # strings "1010" vs "0101": first bit 0 < 1, so 0101 wins
-    assert str(min_weight_in_coset(tie)) == "0101"
-
-
-def test_min_weight_guard():
+def test_enumerate_guard():
     basis = tuple(Gf2Vector.from_indices(25, [i]) for i in range(25))
     with pytest.raises(KernelTooLarge):
-        min_weight_in_coset(AffineSolution(Gf2Vector(25, 0), basis))
+        next(AffineSolution(Gf2Vector(25, 0), basis).enumerate())
 
 
 def test_delete_columns_shape():
@@ -140,6 +114,26 @@ def matrices(draw):
     return Gf2Matrix(rows, cols, tuple(bits))
 
 
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 8))
+    bits = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return Gf2Matrix(n, n, tuple(bits))
+
+
+@given(square_matrices())
+def test_invert_square_is_inverse_or_singular(m):
+    n = m.rows
+    try:
+        inv = invert_square(m)
+    except Singular:
+        assert rank(m) < n
+        return
+    for i in range(n):
+        e = Gf2Vector.from_indices(n, [i])
+        assert m.mul_vec(inv.mul_vec(e)) == e
+
+
 @given(matrices(), st.integers(0, 255))
 def test_solutions_satisfy_system(m, seed):
     b = Gf2Vector(m.rows, seed % (1 << m.rows))
@@ -169,26 +163,3 @@ def test_xor_weight_law(a, b):
 def test_even_xor_even_is_even(a, b):
     if a.bit_count() % 2 == 0 and b.bit_count() % 2 == 0:
         assert (a ^ b).bit_count() % 2 == 0
-
-
-def test_min_weight_is_exhaustive_minimum():
-    import itertools
-    import random
-
-    rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randrange(3, 9)
-        dim = rng.randrange(0, 4)
-        particular = Gf2Vector(n, rng.getrandbits(n))
-        basis = tuple(Gf2Vector(n, rng.getrandbits(n) | 1) for _ in range(dim))
-        sol = AffineSolution(particular, basis)
-        best = min_weight_in_coset(sol)
-        coset = set()
-        for picks in itertools.product((0, 1), repeat=dim):
-            v = particular.bits
-            for take, k in zip(picks, basis):
-                if take:
-                    v ^= k.bits
-            coset.add(v)
-        assert best.bits in coset
-        assert best.weight() == min(Gf2Vector(n, v).weight() for v in coset)

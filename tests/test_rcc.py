@@ -10,6 +10,7 @@ from regionknot.diagram import ReducibleDiagram, faces, parse_pd
 from regionknot.gf2 import Singular, rank
 from regionknot.rcc import (
     NotBlackWhitePair,
+    _region_set_key,
     apply_rcc,
     bw_complements,
     incidence_discrepancies,
@@ -130,6 +131,20 @@ def test_solutions_differ_by_kernel():
         sols = solve_for_crossings(m, frozenset({x}))
         for a, b in itertools.combinations(sols, 2):
             assert a ^ b in kernel
+
+
+def test_region_set_key_picks_coset_minimum():
+    # the coset {0}, {0,1,4}, {2,3}, {1,2,3,4}: the smallest set wins
+    coset = [frozenset(s) for s in ({0, 1, 4}, {2, 3}, {1, 2, 3, 4}, {0})]
+    assert min(coset, key=_region_set_key) == frozenset({0})
+
+
+def test_region_set_key_tie_break():
+    # equal sizes compare by sorted indices: {0,2} before {1,3}
+    sets = [frozenset({1, 3}), frozenset({0, 2}), frozenset({4}), frozenset()]
+    assert sorted(sets, key=_region_set_key) == [
+        frozenset(), frozenset({4}), frozenset({0, 2}), frozenset({1, 3})
+    ]
 
 
 def test_bw_complements_identities():
