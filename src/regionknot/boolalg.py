@@ -14,27 +14,52 @@ from dataclasses import dataclass
 from itertools import product
 
 from .diagram import KnotDiagram, ReducibleDiagram, is_irreducible
-from .gf2 import Gf2Matrix, _mul_rows, delete_columns, invert_square
-from .rcc import NotBlackWhitePair, RccMap, rcc_map
+from .gf2 import _mul_rows
+from .rcc import RccMap, _avoiding_inverse, rcc_map
 
-_TABLE_LIMIT = 12  # precompute full effect tables up to 2^12 subsets
+_TABLE_LIMIT = 12  # effect and preimage are table lookups up to 12 crossings
+
+
+def _indices(mask: int) -> list[int]:
+    """The set bits of ``mask`` in increasing order, for failure messages."""
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def _submasks(ground: int):
+    """Every submask of ``ground``, in increasing order."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == ground:
+            return
+        sub = (sub - ground) & ground
+
+
+def _product_table(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """``_mul_rows(rows, mask)`` for every n-bit mask, indexed by the mask;
+    built by linearity, one XOR per entry."""
+    table = [0]
+    for j in range(n):
+        column = _mul_rows(rows, 1 << j)
+        table += [x ^ column for x in table]
+    return tuple(table)
 
 
 @dataclass(frozen=True)
 class RestrictedAlgebra:
     """P(S) for S = regions minus one black/white pair, with pulled-back ops.
 
-    Elements are frozensets of global region indices contained in S. The
-    bottom element is the empty set; the top is the preimage of the full
-    crossing set and is generally not S itself.
+    Elements are int masks over global region indices: bit r is region r,
+    the column order of ``rcc.matrix``, and every element is a submask of
+    ``ground``. Crossing sets are int masks too (bit i is crossing i). The
+    bottom element is 0; the top is the preimage of the full crossing set and
+    is generally not S itself.
     """
 
     rcc: RccMap
     excluded_black: int
     excluded_white: int
-    columns: tuple[int, ...]  # global region index per compact column
-    compact_rows: tuple[int, ...]  # matrix rows over the surviving columns
-    inverse: Gf2Matrix
+    preimage_rows: tuple[int, ...]  # the effect map's inverse, one row per region
     effect_table: tuple[int, ...] | None = None
     preimage_table: tuple[int, ...] | None = None
 
@@ -43,88 +68,51 @@ class RestrictedAlgebra:
         return self.rcc.diagram
 
     @property
+    def ground(self) -> int:
+        every = (1 << self.rcc.region_map.n_regions) - 1
+        return every ^ (1 << self.excluded_black) ^ (1 << self.excluded_white)
+
+    @property
     def ground_set(self) -> frozenset[int]:
-        return frozenset(self.columns)
+        return frozenset(_indices(self.ground))
 
     @property
     def size(self) -> int:
-        return 1 << len(self.columns)
+        return 1 << self.rcc.diagram.n_crossings
 
-    # -- mask plumbing -------------------------------------------------
-
-    def _to_mask(self, a: frozenset[int]) -> int:
-        mask = 0
-        for r in a:
-            try:
-                mask |= 1 << self.columns.index(r)
-            except ValueError:
-                raise ValueError(f"region {r} is not in the ground set")
-        return mask
-
-    def _from_mask(self, mask: int) -> frozenset[int]:
-        return frozenset(
-            self.columns[i] for i in range(len(self.columns)) if (mask >> i) & 1
-        )
-
-    def effect_mask(self, mask: int) -> int:
+    def effect(self, a: int) -> int:
+        """The crossing set changed by RCC on ``a`` (a bijection on P(S))."""
         if self.effect_table is not None:
-            return self.effect_table[mask]
-        return _mul_rows(self.compact_rows, mask)
+            return self.effect_table[a]
+        return _mul_rows(self.rcc.matrix.row_bits, a)
 
-    def preimage_mask(self, crossings: int) -> int:
+    def preimage(self, crossings: int) -> int:
         if self.preimage_table is not None:
             return self.preimage_table[crossings]
-        return _mul_rows(self.inverse.row_bits, crossings)
+        return _mul_rows(self.preimage_rows, crossings)
 
-    # -- public operations ---------------------------------------------
+    def join(self, a: int, b: int) -> int:
+        return self.preimage(self.effect(a) | self.effect(b))
 
-    def effect(self, a: frozenset[int]) -> frozenset[int]:
-        """The crossing set changed by RCC on ``a`` (a bijection on P(S))."""
-        m = self.effect_mask(self._to_mask(a))
-        return frozenset(i for i in range(self.rcc.diagram.n_crossings) if (m >> i) & 1)
+    def meet(self, a: int, b: int) -> int:
+        return self.preimage(self.effect(a) & self.effect(b))
 
-    def preimage(self, crossings: frozenset[int]) -> frozenset[int]:
-        bits = 0
-        for i in crossings:
-            bits |= 1 << i
-        return self._from_mask(self.preimage_mask(bits))
-
-    def join(self, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
-        return self._from_mask(
-            self.preimage_mask(
-                self.effect_mask(self._to_mask(a)) | self.effect_mask(self._to_mask(b))
-            )
-        )
-
-    def meet(self, a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
-        return self._from_mask(
-            self.preimage_mask(
-                self.effect_mask(self._to_mask(a)) & self.effect_mask(self._to_mask(b))
-            )
-        )
-
-    def complement(self, a: frozenset[int]) -> frozenset[int]:
+    def complement(self, a: int) -> int:
         full = (1 << self.rcc.diagram.n_crossings) - 1
-        return self._from_mask(
-            self.preimage_mask(full ^ self.effect_mask(self._to_mask(a)))
-        )
+        return self.preimage(full ^ self.effect(a))
+
+    bottom = 0  # the empty region set
 
     @property
-    def bottom(self) -> frozenset[int]:
-        return frozenset()
+    def top(self) -> int:
+        return self.preimage((1 << self.rcc.diagram.n_crossings) - 1)
 
-    @property
-    def top(self) -> frozenset[int]:
-        full = (1 << self.rcc.diagram.n_crossings) - 1
-        return self._from_mask(self.preimage_mask(full))
-
-    def leq(self, a: frozenset[int], b: frozenset[int]) -> bool:
+    def leq(self, a: int, b: int) -> bool:
         """Induced order: a <= b iff a meet complement(b) is bottom."""
         return self.meet(a, self.complement(b)) == self.bottom
 
     def elements(self):
-        for mask in range(self.size):
-            yield self._from_mask(mask)
+        return _submasks(self.ground)
 
 
 def build_restricted(d: KnotDiagram, b: int, w: int) -> RestrictedAlgebra:
@@ -136,59 +124,40 @@ def build_restricted(d: KnotDiagram, b: int, w: int) -> RestrictedAlgebra:
     m = rcc_map(d)
     if not is_irreducible(d, m.region_map):
         raise ReducibleDiagram("restricted algebra needs an irreducible diagram")
-    if b not in m.coloring.black or w not in m.coloring.white:
-        raise NotBlackWhitePair(f"regions ({b}, {w}) are not a black/white pair")
-    columns = tuple(r for r in range(m.region_map.n_regions) if r not in (b, w))
-    square = delete_columns(m.matrix, {b, w})
-    inverse = invert_square(square)
-
-    effect_table = preimage_table = None
-    if len(columns) <= _TABLE_LIMIT:
-        fwd = [_mul_rows(square.row_bits, mask) for mask in range(1 << len(columns))]
-        back = [0] * len(fwd)
-        for mask, img in enumerate(fwd):
-            back[img] = mask
-        effect_table = tuple(fwd)
-        preimage_table = tuple(back)
+    inverse = _avoiding_inverse(m, b, w)
+    if d.n_crossings > _TABLE_LIMIT:
+        return RestrictedAlgebra(m, b, w, inverse)
     return RestrictedAlgebra(
-        m, b, w, columns, square.row_bits, inverse, effect_table, preimage_table
+        m, b, w, inverse,
+        _product_table(m.matrix.row_bits, m.region_map.n_regions),
+        _product_table(inverse, d.n_crossings),
     )
 
 
 class PowerSetAlgebra:
-    """Plain power set with union/intersection, for comparison checks."""
+    """Plain power set with union/intersection, for comparison checks;
+    elements are int masks, bit u standing for member u of the universe."""
+
+    bottom = 0
 
     def __init__(self, universe: frozenset[int]):
-        self.universe = frozenset(universe)
+        self.top = sum(1 << u for u in set(universe))
+        self.size = 1 << self.top.bit_count()
 
-    @property
-    def size(self) -> int:
-        return 1 << len(self.universe)
-
-    def join(self, a, b):
+    def join(self, a: int, b: int) -> int:
         return a | b
 
-    def meet(self, a, b):
+    def meet(self, a: int, b: int) -> int:
         return a & b
 
-    def complement(self, a):
-        return self.universe - a
+    def complement(self, a: int) -> int:
+        return self.top ^ a
 
-    @property
-    def bottom(self):
-        return frozenset()
-
-    @property
-    def top(self):
-        return self.universe
-
-    def leq(self, a, b):
-        return a <= b
+    def leq(self, a: int, b: int) -> bool:
+        return a & b == a
 
     def elements(self):
-        items = sorted(self.universe)
-        for mask in range(self.size):
-            yield frozenset(items[i] for i in range(len(items)) if (mask >> i) & 1)
+        return _submasks(self.top)
 
 
 @dataclass(frozen=True)
@@ -242,20 +211,20 @@ def verify_axioms(
 
     def check_triple(a, b, c) -> str | None:
         if alg.join(a, b) != alg.join(b, a) or alg.meet(a, b) != alg.meet(b, a):
-            return f"commutativity fails on {sorted(a)}, {sorted(b)}"
+            return f"commutativity fails on {_indices(a)}, {_indices(b)}"
         if alg.join(a, alg.join(b, c)) != alg.join(alg.join(a, b), c):
-            return f"join associativity fails on {sorted(a)}, {sorted(b)}, {sorted(c)}"
+            return f"join associativity fails on {_indices(a)}, {_indices(b)}, {_indices(c)}"
         if alg.meet(a, alg.meet(b, c)) != alg.meet(alg.meet(a, b), c):
-            return f"meet associativity fails on {sorted(a)}, {sorted(b)}, {sorted(c)}"
+            return f"meet associativity fails on {_indices(a)}, {_indices(b)}, {_indices(c)}"
         if alg.meet(a, alg.join(b, c)) != alg.join(alg.meet(a, b), alg.meet(a, c)):
-            return f"distributivity (meet over join) fails on {sorted(a)}, {sorted(b)}, {sorted(c)}"
+            return f"distributivity (meet over join) fails on {_indices(a)}, {_indices(b)}, {_indices(c)}"
         if alg.join(a, alg.meet(b, c)) != alg.meet(alg.join(a, b), alg.join(a, c)):
-            return f"distributivity (join over meet) fails on {sorted(a)}, {sorted(b)}, {sorted(c)}"
+            return f"distributivity (join over meet) fails on {_indices(a)}, {_indices(b)}, {_indices(c)}"
         if alg.join(a, bottom) != a or alg.meet(a, top) != a:
-            return f"identity elements fail on {sorted(a)}"
+            return f"identity elements fail on {_indices(a)}"
         comp = alg.complement(a)
         if alg.join(a, comp) != top or alg.meet(a, comp) != bottom:
-            return f"complement laws fail on {sorted(a)}"
+            return f"complement laws fail on {_indices(a)}"
         return None
 
     return _check_tuples(check_triple, elements, 3, exhaustive_limit, sample, seed)
@@ -268,16 +237,16 @@ def verify_homomorphism(
     """Check that the effect map turns join/meet/complement into
     union/intersection/complement on the crossing side."""
     elements = list(alg.elements())
-    full = frozenset(range(alg.diagram.n_crossings))
+    full = (1 << alg.diagram.n_crossings) - 1
 
     def check_pair(a, b) -> str | None:
         fa, fb = alg.effect(a), alg.effect(b)
         if alg.effect(alg.join(a, b)) != fa | fb:
-            return f"join image fails on {sorted(a)}, {sorted(b)}"
+            return f"join image fails on {_indices(a)}, {_indices(b)}"
         if alg.effect(alg.meet(a, b)) != fa & fb:
-            return f"meet image fails on {sorted(a)}, {sorted(b)}"
-        if alg.effect(alg.complement(a)) != full - fa:
-            return f"complement image fails on {sorted(a)}"
+            return f"meet image fails on {_indices(a)}, {_indices(b)}"
+        if alg.effect(alg.complement(a)) != full ^ fa:
+            return f"complement image fails on {_indices(a)}"
         return None
 
     return _check_tuples(check_pair, elements, 2, exhaustive_limit, sample, seed)
@@ -290,8 +259,8 @@ def verify_order_isomorphism(alg: RestrictedAlgebra) -> AxiomReport:
     effects = {a: alg.effect(a) for a in elements}
 
     def check_pair(a, b) -> str | None:
-        if alg.leq(a, b) != (effects[a] <= effects[b]):
-            return f"order mismatch on {sorted(a)}, {sorted(b)}"
+        if alg.leq(a, b) != (effects[a] | effects[b] == effects[b]):
+            return f"order mismatch on {_indices(a)}, {_indices(b)}"
         return None
 
     n_pairs = len(elements) ** 2

@@ -52,17 +52,27 @@ def _crossing_names(s: frozenset[int]) -> list[str]:
     return [f"c{i + 1}" for i in sorted(s)]
 
 
-def _parse_crossing_list(text: str, d: KnotDiagram) -> frozenset[int]:
-    out = set()
+class BadName(ValueError):
+    """Crossing or region names on the command line that do not fit the
+    diagram: malformed, out of range, or too many or too few."""
+
+
+def _parse_names(text: str, prefix: str, count: int, length: int | None = None) -> list[int]:
+    """0-based indices for comma-separated 1-based names (``c2,c3`` or
+    ``R1,R2``; the prefix is optional). Each must lie in 1..count, and there
+    must be exactly ``length`` names when it is given."""
+    out = []
     for tok in text.split(","):
-        tok = tok.strip().lstrip("c")
-        if not tok:
+        name = tok.strip()
+        if not name:
             continue
-        i = int(tok) - 1
-        if not 0 <= i < d.n_crossings:
-            raise SystemExit(f"crossing c{tok} out of range")
-        out.add(i)
-    return frozenset(out)
+        digits = name.removeprefix(prefix)
+        if not digits.isdecimal() or not 1 <= int(digits) <= count:
+            raise BadName(f"{name} is not one of {prefix}1..{prefix}{count}")
+        out.append(int(digits) - 1)
+    if length is not None and len(out) != length:
+        raise BadName(f"expected {length} name(s), got {text!r}")
+    return out
 
 
 def cmd_regions(args: argparse.Namespace) -> dict[str, Any]:
@@ -80,12 +90,10 @@ def cmd_regions(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_solve(args: argparse.Namespace) -> dict[str, Any]:
     d = parse_pd(args.pd)
     m = rcc_map(d)
-    target = _parse_crossing_list(args.crossings, d)
+    target = frozenset(_parse_names(args.crossings, "c", d.n_crossings))
     payload: dict[str, Any] = {"targets": _crossing_names(target)}
     if args.avoid:
-        b_txt, w_txt = args.avoid.split(",")
-        b = int(b_txt.strip().lstrip("R")) - 1
-        w = int(w_txt.strip().lstrip("R")) - 1
+        b, w = _parse_names(args.avoid, "R", d.n_crossings + 2, 2)
         s = solve_avoiding(m, target, b, w)
         payload["avoid"] = [f"R{b + 1}", f"R{w + 1}"]
         payload["solution"] = _region_names(s)
@@ -103,7 +111,7 @@ def cmd_solve(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_splice(args: argparse.Namespace) -> dict[str, Any]:
     d = parse_pd(args.pd)
     m = rcc_map(d)
-    x = int(args.crossing.lstrip("c")) - 1
+    (x,) = _parse_names(args.crossing, "c", d.n_crossings, 1)
     s = splice_solution(d, x)
     sols = solve_for_crossings(m, frozenset({x}))
     agrees = s in sols
@@ -160,8 +168,7 @@ def cmd_certify(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_boolcheck(args: argparse.Namespace) -> dict[str, Any]:
     d = parse_pd(args.pd)
     if args.pair:
-        b_txt, w_txt = args.pair.split(",")
-        pairs = [(int(b_txt.strip().lstrip("R")) - 1, int(w_txt.strip().lstrip("R")) - 1)]
+        pairs = [_parse_names(args.pair, "R", d.n_crossings + 2, 2)]
     else:
         pairs = black_white_pairs(d)
     results = []
@@ -300,7 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
-    result = args.fn(args)
+    try:
+        result = args.fn(args)
+    except ValueError as exc:
+        if type(exc).__module__ == "builtins":  # untyped: a fault, not bad input
+            raise
+        print(f"regionknot: {type(exc).__name__}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None  # the status argparse gives bad usage
     elapsed = round(1000 * (time.monotonic() - t0), 2)
     if args.records:
         records = result if isinstance(result, list) else [result]

@@ -238,6 +238,7 @@ def parse_pd(text: str) -> KnotDiagram:
     Labels may be any positive integers appearing exactly twice; they are
     renormalized to 1..2c in traversal order (anchored so the smallest input
     label keeps position 1). The empty string is the 0-crossing diagram.
+    Raises NotPlanar unless the code is a sphere diagram (by ``faces``).
     """
     tokens = text.split()
     if not tokens:
@@ -264,7 +265,9 @@ def parse_pd(text: str) -> KnotDiagram:
         crossings.append(
             Crossing(tuple(relabel[e] for e in t), over_in[i])  # type: ignore[arg-type]
         )
-    return KnotDiagram(tuple(crossings))
+    d = KnotDiagram(tuple(crossings))
+    faces(d)
+    return d
 
 
 @lru_cache(maxsize=None)

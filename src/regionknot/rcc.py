@@ -19,6 +19,7 @@ from functools import lru_cache
 from .diagram import (
     Coloring,
     KnotDiagram,
+    NotPlanar,
     ReducibleDiagram,
     RegionMap,
     apply_crossing_changes,
@@ -29,6 +30,7 @@ from .diagram import (
 from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
+    _mul_rows,
     delete_columns,
     invert_square,
     kernel,
@@ -113,9 +115,10 @@ def solve_for_crossings(m: RccMap, target: CrossingSet) -> list[RegionSet]:
     """
     b = _to_vector(target, m.diagram.n_crossings)
     sol = solve_affine(m.matrix, b)
-    out = [frozenset(v.indices()) for v in sol.enumerate()]
-    assert len(out) == 4, "region choice kernel must have dimension 2"
-    return sorted(out, key=_region_set_key)
+    k = len(sol.kernel_basis)
+    if k != 2:  # the rank is c on every sphere diagram (Cheng-Gao 2012)
+        raise NotPlanar(f"region choice kernel has dimension {k}, not 2")
+    return sorted((frozenset(v.indices()) for v in sol.enumerate()), key=_region_set_key)
 
 
 def bw_complements(m: RccMap, s: RegionSet) -> tuple[RegionSet, RegionSet, RegionSet]:
@@ -125,24 +128,26 @@ def bw_complements(m: RccMap, s: RegionSet) -> tuple[RegionSet, RegionSet, Regio
     return (s ^ black, s ^ white, s ^ black ^ white)
 
 
-def solve_avoiding(
-    m: RccMap, target: CrossingSet, b: int, w: int
-) -> RegionSet:
-    """The unique region set with the target effect avoiding regions b and w.
-
-    ``b`` must be black and ``w`` white. Deleting those two matrix columns
-    leaves a square matrix that is invertible for every irreducible diagram;
-    on reducible diagrams some pairs leave it singular, and Singular
-    propagates to the caller.
-    """
+def _avoiding_inverse(m: RccMap, b: int, w: int) -> tuple[int, ...]:
+    """The inverse of the matrix without columns b (black) and w (white),
+    spread back to region indices: row r is zero for r in (b, w), and its
+    bit i says whether the set avoiding b and w that changes exactly
+    crossing i holds region r. Invertible on every irreducible diagram; on
+    reducible ones Singular may propagate."""
     if b not in m.coloring.black or w not in m.coloring.white:
-        raise NotBlackWhitePair(f"regions ({b}, {w}) are not a black/white pair")
-    square = delete_columns(m.matrix, {b, w})
-    inv = invert_square(square)  # Singular propagates
-    rhs = _to_vector(target, m.diagram.n_crossings)
-    x = inv.mul_vec(rhs)
-    keep = [r for r in range(m.region_map.n_regions) if r not in (b, w)]
-    return frozenset(keep[i] for i in x.indices())
+        raise NotBlackWhitePair(f"regions R{b + 1},R{w + 1} are not a black/white pair")
+    rows = iter(invert_square(delete_columns(m.matrix, {b, w})).row_bits)
+    return tuple(
+        0 if r in (b, w) else next(rows) for r in range(m.region_map.n_regions)
+    )
+
+
+def solve_avoiding(m: RccMap, target: CrossingSet, b: int, w: int) -> RegionSet:
+    """The unique region set with the target effect avoiding regions b and w
+    (``b`` black, ``w`` white; see ``_avoiding_inverse``)."""
+    inverse = _avoiding_inverse(m, b, w)
+    x = _mul_rows(inverse, _to_vector(target, m.diagram.n_crossings).bits)
+    return frozenset(r for r in range(m.region_map.n_regions) if (x >> r) & 1)
 
 
 def splice_solution(d: KnotDiagram, x: int) -> RegionSet:

@@ -1,6 +1,7 @@
 """The restricted Boolean algebra and its isomorphism with the crossing side."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -14,10 +15,46 @@ from regionknot.boolalg import (
 )
 from regionknot.catalog import bundled_diagram
 from regionknot.construct import add_kink, rational_diagram
-from regionknot.diagram import ReducibleDiagram, parse_pd
-from regionknot.rcc import NotBlackWhitePair, phi, rcc_map
+from regionknot.diagram import ReducibleDiagram, faces, parse_pd
+from regionknot.rcc import NotBlackWhitePair, phi, phi_bruteforce, rcc_map
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
+
+
+def _mask(s) -> int:
+    return sum(1 << i for i in s)
+
+
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+class SetPullback:
+    """The restricted algebra rebuilt from its definition on frozensets:
+    effect by corner-by-corner simulation, preimage by scanning P(S)."""
+
+    def __init__(self, d, b, w):
+        rm = faces(d)
+        ground = [r for r in range(rm.n_regions) if r not in (b, w)]
+        self.elements = [
+            frozenset(t) for k in range(len(ground) + 1) for t in combinations(ground, k)
+        ]
+        self.effect = {a: phi_bruteforce(rm, a) for a in self.elements}
+        self.preimage = {e: a for a, e in self.effect.items()}
+        assert len(self.preimage) == len(self.elements)  # a bijection
+        self.full = frozenset(range(d.n_crossings))
+
+    def join(self, a, b):
+        return self.preimage[self.effect[a] | self.effect[b]]
+
+    def meet(self, a, b):
+        return self.preimage[self.effect[a] & self.effect[b]]
+
+    def complement(self, a):
+        return self.preimage[self.full - self.effect[a]]
+
+    def leq(self, a, b):
+        return self.effect[a] <= self.effect[b]
 
 
 def test_ground_set_size():
@@ -53,14 +90,34 @@ def test_effect_matches_full_map():
     for b, w in black_white_pairs(TREFOIL)[:2]:
         alg = build_restricted(TREFOIL, b, w)
         for a in alg.elements():
-            assert alg.effect(a) == phi(m, a)
+            assert alg.effect(a) == _mask(phi(m, _members(a)))
 
 
 def test_bottom_is_empty_set():
     for b, w in black_white_pairs(TREFOIL):
         alg = build_restricted(TREFOIL, b, w)
-        assert alg.bottom == frozenset()
-        assert alg.effect(alg.top) == frozenset(range(3))
+        assert alg.bottom == 0  # the empty region set
+        assert alg.effect(alg.top) == 0b111  # every crossing
+
+
+@pytest.mark.parametrize("name", ["3_1", "4_1"])
+def test_mask_algebra_matches_set_pullback(name):
+    d = bundled_diagram(name)
+    for b, w in black_white_pairs(d):
+        alg = build_restricted(d, b, w)
+        ref = SetPullback(d, b, w)
+        assert list(alg.elements()) == sorted(_mask(a) for a in ref.elements)
+        assert alg.ground == _mask(ref.elements[-1])
+        assert alg.top == _mask(ref.preimage[ref.full])
+        for a in ref.elements:
+            assert alg.effect(_mask(a)) == _mask(ref.effect[a])
+            assert alg.preimage(_mask(ref.effect[a])) == _mask(a)
+            assert alg.complement(_mask(a)) == _mask(ref.complement(a))
+            for c in ref.elements:
+                ma, mc = _mask(a), _mask(c)
+                assert alg.join(ma, mc) == _mask(ref.join(a, c))
+                assert alg.meet(ma, mc) == _mask(ref.meet(a, c))
+                assert alg.leq(ma, mc) == ref.leq(a, c)
 
 
 def test_identity_and_complement_laws_exhaustive():
@@ -154,8 +211,8 @@ def test_computed_path_above_table_limit():
     columns = sorted(alg.ground_set)
     rng = random.Random(13)
     for _ in range(200):
-        a = frozenset(r for r in columns if rng.random() < 0.5)
-        assert alg.effect(a) == phi(m, a)
+        a = _mask(r for r in columns if rng.random() < 0.5)
+        assert alg.effect(a) == _mask(phi(m, _members(a)))
         assert alg.preimage(alg.effect(a)) == a
     report = verify_homomorphism(alg, sample=200, seed=3)
     assert report.ok, report.failure

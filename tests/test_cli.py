@@ -113,6 +113,38 @@ def test_bad_crossing_exits_nonzero(capsys):
         main(["solve", "--pd", TREFOIL, "--crossings", "c9"])
 
 
+def run_bad(capsys, *argv) -> str:
+    """Run a command that must fail on its input; return its one stderr line."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    return err
+
+
+def test_splice_bad_crossing_names_it_one_based(capsys):
+    err = run_bad(capsys, "splice", "--pd", TREFOIL, "--crossing", "c9")
+    assert "c9" in err and "c1..c3" in err
+    assert "crossing 8" not in err
+
+
+def test_avoid_same_region_twice_names_it_one_based(capsys):
+    err = run_bad(capsys, "solve", "--pd", TREFOIL, "--crossings", "c1", "--avoid", "R1,R1")
+    assert "R1,R1" in err and "NotBlackWhitePair" in err
+    assert "(0, 0)" not in err
+
+
+def test_pair_needs_two_regions(capsys):
+    err = run_bad(capsys, "boolcheck", "--pd", TREFOIL, "--pair", "R1")
+    assert "expected 2" in err
+
+
+def test_non_sphere_code_is_one_line(capsys):
+    err = run_bad(capsys, "regions", "--pd", "X[1,2,3,4] X[2,3,1,4]")
+    assert err.startswith("regionknot: NotPlanar:")
+
+
 def test_catalog_full_bundled_table(tmp_path, capsys):
     records = tmp_path / "full.jsonl"
     code, out = run(capsys, "--records", str(records), "catalog")

@@ -8,6 +8,7 @@ from regionknot.diagram import (
     EdgeLabelNotTwice,
     MalformedToken,
     MultipleComponents,
+    NotPlanar,
     UnknownCrossing,
     apply_crossing_changes,
     checkerboard,
@@ -59,6 +60,13 @@ def test_parse_two_components():
     # each label twice, but the under-passage closes onto itself immediately
     with pytest.raises(MultipleComponents):
         parse_pd("X[1,2,1,2] X[3,4,3,4]")
+
+
+@pytest.mark.parametrize("code", ["X[1,2,3,4] X[2,3,1,4]", "X[1,2,3,4] X[2,4,1,3]"])
+def test_parse_rejects_non_sphere_code(code):
+    # one closed curve, but its rotation system traces 2 faces, not c + 2 = 4
+    with pytest.raises(NotPlanar):
+        parse_pd(code)
 
 
 def test_parse_normalizes_shifted_labels():

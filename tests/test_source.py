@@ -1,0 +1,17 @@
+"""Properties of the library source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "regionknot"
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so contracts must be typed raises
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+    assert len(list(SRC.glob("*.py"))) >= 9  # the walk saw the package
