@@ -16,7 +16,14 @@ from .boolalg import (
     verify_homomorphism,
     verify_order_isomorphism,
 )
-from .catalog import CatalogEntry, bundled_catalog, bundled_diagram, load_catalog, parse_catalog
+from .catalog import (
+    CatalogEntry,
+    MalformedCatalog,
+    bundled_catalog,
+    bundled_diagram,
+    load_catalog,
+    parse_catalog,
+)
 from .construct import (
     NotAKnot,
     add_kink,
@@ -44,11 +51,8 @@ from .diagram import (
     parse_pd,
 )
 from .gf2 import (
-    AffineSolution,
     Gf2Matrix,
-    Gf2Vector,
     Inconsistent,
-    KernelTooLarge,
     Singular,
     delete_columns,
     invert_square,

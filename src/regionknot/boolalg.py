@@ -14,15 +14,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .diagram import KnotDiagram, ReducibleDiagram, is_irreducible
-from .gf2 import _mul_rows
+from .gf2 import _mul_rows, decode, span
 from .rcc import RccMap, _avoiding_inverse, rcc_map
 
 _TABLE_LIMIT = 12  # effect and preimage are table lookups up to 12 crossings
-
-
-def _indices(mask: int) -> list[int]:
-    """The set bits of ``mask`` in increasing order, for failure messages."""
-    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
 def _submasks(ground: int):
@@ -38,11 +33,7 @@ def _submasks(ground: int):
 def _product_table(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     """``_mul_rows(rows, mask)`` for every n-bit mask, indexed by the mask;
     built by linearity, one XOR per entry."""
-    table = [0]
-    for j in range(n):
-        column = _mul_rows(rows, 1 << j)
-        table += [x ^ column for x in table]
-    return tuple(table)
+    return tuple(span(_mul_rows(rows, 1 << j) for j in range(n)))
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,7 @@ class RestrictedAlgebra:
 
     @property
     def ground_set(self) -> frozenset[int]:
-        return frozenset(_indices(self.ground))
+        return frozenset(decode(self.ground))
 
     @property
     def size(self) -> int:
@@ -211,20 +202,20 @@ def verify_axioms(
 
     def check_triple(a, b, c) -> str | None:
         if alg.join(a, b) != alg.join(b, a) or alg.meet(a, b) != alg.meet(b, a):
-            return f"commutativity fails on {_indices(a)}, {_indices(b)}"
+            return f"commutativity fails on {decode(a)}, {decode(b)}"
         if alg.join(a, alg.join(b, c)) != alg.join(alg.join(a, b), c):
-            return f"join associativity fails on {_indices(a)}, {_indices(b)}, {_indices(c)}"
+            return f"join associativity fails on {decode(a)}, {decode(b)}, {decode(c)}"
         if alg.meet(a, alg.meet(b, c)) != alg.meet(alg.meet(a, b), c):
-            return f"meet associativity fails on {_indices(a)}, {_indices(b)}, {_indices(c)}"
+            return f"meet associativity fails on {decode(a)}, {decode(b)}, {decode(c)}"
         if alg.meet(a, alg.join(b, c)) != alg.join(alg.meet(a, b), alg.meet(a, c)):
-            return f"distributivity (meet over join) fails on {_indices(a)}, {_indices(b)}, {_indices(c)}"
+            return f"distributivity (meet over join) fails on {decode(a)}, {decode(b)}, {decode(c)}"
         if alg.join(a, alg.meet(b, c)) != alg.meet(alg.join(a, b), alg.join(a, c)):
-            return f"distributivity (join over meet) fails on {_indices(a)}, {_indices(b)}, {_indices(c)}"
+            return f"distributivity (join over meet) fails on {decode(a)}, {decode(b)}, {decode(c)}"
         if alg.join(a, bottom) != a or alg.meet(a, top) != a:
-            return f"identity elements fail on {_indices(a)}"
+            return f"identity elements fail on {decode(a)}"
         comp = alg.complement(a)
         if alg.join(a, comp) != top or alg.meet(a, comp) != bottom:
-            return f"complement laws fail on {_indices(a)}"
+            return f"complement laws fail on {decode(a)}"
         return None
 
     return _check_tuples(check_triple, elements, 3, exhaustive_limit, sample, seed)
@@ -242,11 +233,11 @@ def verify_homomorphism(
     def check_pair(a, b) -> str | None:
         fa, fb = alg.effect(a), alg.effect(b)
         if alg.effect(alg.join(a, b)) != fa | fb:
-            return f"join image fails on {_indices(a)}, {_indices(b)}"
+            return f"join image fails on {decode(a)}, {decode(b)}"
         if alg.effect(alg.meet(a, b)) != fa & fb:
-            return f"meet image fails on {_indices(a)}, {_indices(b)}"
+            return f"meet image fails on {decode(a)}, {decode(b)}"
         if alg.effect(alg.complement(a)) != full ^ fa:
-            return f"complement image fails on {_indices(a)}"
+            return f"complement image fails on {decode(a)}"
         return None
 
     return _check_tuples(check_pair, elements, 2, exhaustive_limit, sample, seed)
@@ -260,7 +251,7 @@ def verify_order_isomorphism(alg: RestrictedAlgebra) -> AxiomReport:
 
     def check_pair(a, b) -> str | None:
         if alg.leq(a, b) != (effects[a] | effects[b] == effects[b]):
-            return f"order mismatch on {_indices(a)}, {_indices(b)}"
+            return f"order mismatch on {decode(a)}, {decode(b)}"
         return None
 
     n_pairs = len(elements) ** 2

@@ -9,6 +9,10 @@ from pathlib import Path
 from .diagram import KnotDiagram, parse_pd
 
 
+class MalformedCatalog(ValueError):
+    """A catalog file that cannot be read, or a line without a tab."""
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -28,14 +32,18 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
         if not line or line.startswith("#"):
             continue
         if "\t" not in line:
-            raise ValueError(f"line {lineno}: expected name<TAB>pd_code")
+            raise MalformedCatalog(f"line {lineno}: expected name<TAB>pd_code")
         name, pd = line.split("\t", 1)
         entries.append(CatalogEntry(name.strip(), pd.strip(), parse_pd(pd)))
     return entries
 
 
 def load_catalog(path: str | Path) -> list[CatalogEntry]:
-    return parse_catalog(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedCatalog(f"cannot read {path} ({type(exc).__name__})") from exc
+    return parse_catalog(text)
 
 
 def bundled_catalog() -> list[CatalogEntry]:

@@ -58,22 +58,6 @@ class Crossing:
             raise ValueError("over_in must be slot 1 or 3")
 
     @property
-    def under_in(self) -> int:
-        return self.edges[0]
-
-    @property
-    def under_out(self) -> int:
-        return self.edges[2]
-
-    @property
-    def over_in_edge(self) -> int:
-        return self.edges[self.over_in]
-
-    @property
-    def over_out_edge(self) -> int:
-        return self.edges[self.over_in ^ 2]
-
-    @property
     def sign(self) -> int:
         """+1 when the under-strand passes right-to-left under the over-strand."""
         return 1 if self.over_in == 3 else -1

@@ -9,7 +9,7 @@ keep results reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class Inconsistent(ValueError):
@@ -20,56 +20,30 @@ class Singular(ValueError):
     """Square matrix is not invertible over GF(2)."""
 
 
-class KernelTooLarge(ValueError):
-    """Coset enumeration guard tripped (kernel dimension too big)."""
+def encode(indices: Iterable[int], length: int) -> int:
+    """The int with bit i set for each i in ``indices``; every index must
+    lie in ``range(length)``."""
+    bits = 0
+    for i in indices:
+        if not 0 <= i < length:
+            raise ValueError(f"index {i} out of range")
+        bits |= 1 << i
+    return bits
 
 
-@dataclass(frozen=True)
-class Gf2Vector:
-    """A fixed-length 0/1 vector packed into an int (bit i = entry i)."""
+def decode(bits: int) -> list[int]:
+    """The set bits of ``bits`` in increasing order."""
+    return [i for i in range(bits.bit_length()) if (bits >> i) & 1]
 
-    length: int
-    bits: int = 0
 
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("bits out of range for vector length")
-
-    @classmethod
-    def from_indices(cls, length: int, indices: Iterable[int]) -> Gf2Vector:
-        bits = 0
-        for i in indices:
-            if not 0 <= i < length:
-                raise ValueError(f"index {i} out of range")
-            bits |= 1 << i
-        return cls(length, bits)
-
-    @classmethod
-    def from_string(cls, s: str) -> Gf2Vector:
-        bits = 0
-        for i, ch in enumerate(s):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"bad bit character {ch!r}")
-        return cls(len(s), bits)
-
-    def get(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
-
-    def __xor__(self, other: Gf2Vector) -> Gf2Vector:
-        if other.length != self.length:
-            raise ValueError("length mismatch")
-        return Gf2Vector(self.length, self.bits ^ other.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(self.get(i)) for i in range(self.length))
+def span(basis: Iterable[int]) -> list[int]:
+    """Every XOR combination of ``basis``: 0 first, then each basis vector
+    in turn doubles the list (entry j is the combination whose bit k of j
+    picks basis vector k)."""
+    out = [0]
+    for v in basis:
+        out += [x ^ v for x in out]
+    return out
 
 
 def _mul_rows(rows: Iterable[int], bits: int) -> int:
@@ -97,63 +71,13 @@ class Gf2Matrix:
             if r < 0 or r & ~mask:
                 raise ValueError("row bits out of range for column count")
 
-    @classmethod
-    def from_rows(cls, cols: int, rows: Iterable[Iterable[int] | int]) -> Gf2Matrix:
-        packed = []
-        for row in rows:
-            if isinstance(row, int):
-                packed.append(row)
-            else:
-                bits = 0
-                for j, v in enumerate(row):
-                    if v & 1:
-                        bits |= 1 << j
-                packed.append(bits)
-        return cls(len(packed), cols, tuple(packed))
-
     def entry(self, i: int, j: int) -> int:
         return (self.row_bits[i] >> j) & 1
 
-    def mul_vec(self, v: Gf2Vector) -> Gf2Vector:
-        if v.length != self.cols:
-            raise ValueError("dimension mismatch")
-        return Gf2Vector(self.rows, _mul_rows(self.row_bits, v.bits))
-
-    def __str__(self) -> str:
-        return "\n".join(
-            " ".join(str(self.entry(i, j)) for j in range(self.cols))
-            for i in range(self.rows)
-        )
-
-
-@dataclass(frozen=True)
-class AffineSolution:
-    """Solution set of Mx = b: particular point plus a kernel basis.
-
-    The full solution set is {particular ^ any span combination}; its size is
-    2 ** len(kernel_basis).
-    """
-
-    particular: Gf2Vector
-    kernel_basis: tuple[Gf2Vector, ...]
-
-    def count(self) -> int:
-        return 1 << len(self.kernel_basis)
-
-    def enumerate(self, max_dim: int = 20) -> Iterator[Gf2Vector]:
-        """Yield every solution (Gray-code order over the kernel basis)."""
-        k = len(self.kernel_basis)
-        if k > max_dim:
-            raise KernelTooLarge(f"kernel dimension {k} exceeds guard {max_dim}")
-        cur = self.particular.bits
-        yield Gf2Vector(self.particular.length, cur)
-        prev_gray = 0
-        for m in range(1, 1 << k):
-            gray = m ^ (m >> 1)
-            flip = (gray ^ prev_gray).bit_length() - 1
-            prev_gray = gray
-            cur ^= self.kernel_basis[flip].bits
-            yield Gf2Vector(self.particular.length, cur)
+    def mul_vec(self, v: int) -> int:
+        if v >> self.cols:
+            raise ValueError("vector wider than the column count")
+        return _mul_rows(self.row_bits, v)
 
 
 def _eliminate(rows: list[int], cols: int) -> list[int]:
@@ -193,16 +117,18 @@ def rank(m: Gf2Matrix) -> int:
     return len(_eliminate(list(m.row_bits), m.cols))
 
 
-def solve_affine(m: Gf2Matrix, b: Gf2Vector) -> AffineSolution:
+def solve_affine(m: Gf2Matrix, b: int) -> tuple[int, tuple[int, ...]]:
     """Solve Mx = b, returning one particular solution and a kernel basis.
 
-    Deterministic: pivots are leftmost, free variables are taken in ascending
-    column order and set to 0 in the particular solution.
+    The full solution set is the particular solution XOR each element of
+    ``span(kernel_basis)``. Deterministic: pivots are leftmost, free
+    variables are taken in ascending column order and set to 0 in the
+    particular solution.
     """
-    if b.length != m.rows:
-        raise ValueError("right-hand side length must equal row count")
+    if b >> m.rows:
+        raise ValueError("right-hand side wider than the row count")
     cols = m.cols
-    rows = [row | ((b.bits >> i) & 1) << cols for i, row in enumerate(m.row_bits)]
+    rows = [row | ((b >> i) & 1) << cols for i, row in enumerate(m.row_bits)]
     pivots = _eliminate(rows, cols)
     if any(rows[len(pivots):]):  # a zero row left with a nonzero right-hand side
         raise Inconsistent("b is outside the column space")
@@ -220,13 +146,13 @@ def solve_affine(m: Gf2Matrix, b: Gf2Vector) -> AffineSolution:
         for row_idx, col in enumerate(pivots):
             if (rows[row_idx] >> f) & 1:
                 vec |= 1 << col
-        basis.append(Gf2Vector(cols, vec))
-    return AffineSolution(Gf2Vector(cols, particular), tuple(basis))
+        basis.append(vec)
+    return particular, tuple(basis)
 
 
-def kernel(m: Gf2Matrix) -> tuple[Gf2Vector, ...]:
+def kernel(m: Gf2Matrix) -> tuple[int, ...]:
     """Basis of the null space {x : Mx = 0}."""
-    return solve_affine(m, Gf2Vector(m.rows, 0)).kernel_basis
+    return solve_affine(m, 0)[1]
 
 
 def delete_columns(m: Gf2Matrix, cols: Iterable[int]) -> Gf2Matrix:

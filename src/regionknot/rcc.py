@@ -29,12 +29,14 @@ from .diagram import (
 )
 from .gf2 import (
     Gf2Matrix,
-    Gf2Vector,
     _mul_rows,
+    decode,
     delete_columns,
+    encode,
     invert_square,
     kernel,
     solve_affine,
+    span,
 )
 
 RegionSet = frozenset[int]
@@ -67,14 +69,11 @@ class RccMap:
     region_map: RegionMap
     coloring: Coloring
     matrix: Gf2Matrix
-    kernel_basis: tuple[Gf2Vector, ...]
+    kernel_basis: tuple[int, ...]  # region masks
 
     def kernel_elements(self) -> tuple[RegionSet, ...]:
         """All region sets with empty effect (a group of order 2^dim)."""
-        out = [frozenset()]
-        for b in self.kernel_basis:
-            out += [s ^ frozenset(b.indices()) for s in out]
-        return tuple(out)  # type: ignore[return-value]
+        return tuple(frozenset(decode(k)) for k in span(self.kernel_basis))
 
 
 @lru_cache(maxsize=None)
@@ -82,10 +81,6 @@ def rcc_map(d: KnotDiagram) -> RccMap:
     rm = faces(d)
     m = region_choice_matrix(d, rm)
     return RccMap(d, rm, checkerboard(rm), m, kernel(m))
-
-
-def _to_vector(s: frozenset[int], length: int) -> Gf2Vector:
-    return Gf2Vector.from_indices(length, s)
 
 
 def _region_set_key(s: RegionSet) -> tuple[int, list[int]]:
@@ -98,8 +93,8 @@ def _region_set_key(s: RegionSet) -> tuple[int, list[int]]:
 
 def phi(m: RccMap, s: RegionSet) -> CrossingSet:
     """Crossings changed by performing RCC at every region of ``s``."""
-    v = m.matrix.mul_vec(_to_vector(s, m.region_map.n_regions))
-    return frozenset(v.indices())
+    x = m.matrix.mul_vec(encode(s, m.region_map.n_regions))
+    return frozenset(decode(x))
 
 
 def apply_rcc(d: KnotDiagram, m: RccMap, s: RegionSet) -> KnotDiagram:
@@ -113,19 +108,16 @@ def solve_for_crossings(m: RccMap, target: CrossingSet) -> list[RegionSet]:
     Always solvable (the matrix is full rank); sorted in the canonical order
     (``_region_set_key``) so output is stable.
     """
-    b = _to_vector(target, m.diagram.n_crossings)
-    sol = solve_affine(m.matrix, b)
-    k = len(sol.kernel_basis)
-    if k != 2:  # the rank is c on every sphere diagram (Cheng-Gao 2012)
-        raise NotPlanar(f"region choice kernel has dimension {k}, not 2")
-    return sorted((frozenset(v.indices()) for v in sol.enumerate()), key=_region_set_key)
+    particular, basis = solve_affine(m.matrix, encode(target, m.diagram.n_crossings))
+    if len(basis) != 2:  # the rank is c on every sphere diagram (Cheng-Gao 2012)
+        raise NotPlanar(f"region choice kernel has dimension {len(basis)}, not 2")
+    return sorted((frozenset(decode(particular ^ k)) for k in span(basis)), key=_region_set_key)
 
 
-def bw_complements(m: RccMap, s: RegionSet) -> tuple[RegionSet, RegionSet, RegionSet]:
+def bw_complements(col: Coloring, s: RegionSet) -> tuple[RegionSet, RegionSet, RegionSet]:
     """s xor B, s xor W, s xor (B xor W); on irreducible diagrams all four
     sets have the same effect as ``s``."""
-    black, white = m.coloring.black, m.coloring.white
-    return (s ^ black, s ^ white, s ^ black ^ white)
+    return (s ^ col.black, s ^ col.white, s ^ col.black ^ col.white)
 
 
 def _avoiding_inverse(m: RccMap, b: int, w: int) -> tuple[int, ...]:
@@ -146,8 +138,8 @@ def solve_avoiding(m: RccMap, target: CrossingSet, b: int, w: int) -> RegionSet:
     """The unique region set with the target effect avoiding regions b and w
     (``b`` black, ``w`` white; see ``_avoiding_inverse``)."""
     inverse = _avoiding_inverse(m, b, w)
-    x = _mul_rows(inverse, _to_vector(target, m.diagram.n_crossings).bits)
-    return frozenset(r for r in range(m.region_map.n_regions) if (x >> r) & 1)
+    x = _mul_rows(inverse, encode(target, m.diagram.n_crossings))
+    return frozenset(decode(x))
 
 
 def splice_solution(d: KnotDiagram, x: int) -> RegionSet:

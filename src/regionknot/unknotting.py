@@ -260,9 +260,7 @@ def bw_complement_bound(s: frozenset[int], col: Coloring) -> int:
     The four sizes always sum to twice the region count, so the minimum is
     at most (c + 2) / 2.
     """
-    full = col.black | col.white
-    sizes = [len(s), len(s ^ col.black), len(s ^ col.white), len(s ^ full)]
-    return min(sizes)
+    return min(len(t) for t in (s, *bw_complements(col, s)))
 
 
 def small_unknotting_set(d: KnotDiagram) -> UnknottingCertificate:
@@ -297,7 +295,7 @@ def small_unknotting_set(d: KnotDiagram) -> UnknottingCertificate:
         t = solve_for_crossings(m, frozenset({crossing_passed}))[0]
         s = s ^ t
 
-    best = min((s, *bw_complements(m, s)), key=_region_set_key)
+    best = min((s, *bw_complements(col, s)), key=_region_set_key)
     changed = phi(m, best)
     poly = jones_normalized(apply_crossing_changes(d, changed))
     cert = UnknottingCertificate(

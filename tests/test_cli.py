@@ -145,6 +145,19 @@ def test_non_sphere_code_is_one_line(capsys):
     assert err.startswith("regionknot: NotPlanar:")
 
 
+def test_catalog_line_without_tab_is_one_line(tmp_path, capsys):
+    cat = tmp_path / "spaces.txt"
+    cat.write_text(f"# a comment\n3_1 {TREFOIL}\n")
+    err = run_bad(capsys, "catalog", "--path", str(cat))
+    assert err.startswith("regionknot: MalformedCatalog: line 2:")
+
+
+def test_catalog_missing_file_is_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    err = run_bad(capsys, "catalog", "--path", str(missing))
+    assert err == f"regionknot: MalformedCatalog: cannot read {missing} (FileNotFoundError)\n"
+
+
 def test_catalog_full_bundled_table(tmp_path, capsys):
     records = tmp_path / "full.jsonl"
     code, out = run(capsys, "--records", str(records), "catalog")
@@ -182,6 +195,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "regionknot.cli", "regions", "--pd", TREFOIL],
         capture_output=True,
         text=True,
+        cwd=Path(__file__).resolve().parents[1] / "src",  # importable uninstalled
     )
     assert proc.returncode == 0
     assert "regions=5" in proc.stdout

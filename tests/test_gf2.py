@@ -4,20 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from regionknot.gf2 import (
-    AffineSolution,
     Gf2Matrix,
-    Gf2Vector,
     Inconsistent,
-    KernelTooLarge,
     Singular,
+    decode,
     delete_columns,
+    encode,
     invert_square,
     kernel,
     rank,
     solve_affine,
+    span,
 )
 
-TREFOIL_MATRIX = Gf2Matrix.from_rows(5, [[1, 1, 1, 1, 0], [1, 1, 1, 0, 1], [0, 1, 1, 1, 1]])
+# Rows [1,1,1,1,0], [1,1,1,0,1], [0,1,1,1,1]; bit j is column j.
+TREFOIL_MATRIX = Gf2Matrix(3, 5, (0b01111, 0b10111, 0b11110))
 
 
 def identity(n):
@@ -37,25 +38,51 @@ def test_rank_trefoil_region_matrix_is_full():
 
 
 def test_solve_identity_particular_is_rhs():
-    b = Gf2Vector.from_string("101")
-    sol = solve_affine(identity(3), b)
-    assert sol.particular == b
-    assert sol.kernel_basis == ()
+    b = 0b101
+    particular, basis = solve_affine(identity(3), b)
+    assert particular == b
+    assert basis == ()
 
 
 def test_solve_trefoil_has_four_solutions():
     for i in range(3):
-        sol = solve_affine(TREFOIL_MATRIX, Gf2Vector.from_indices(3, [i]))
-        assert len(sol.kernel_basis) == 2
-        assert sol.count() == 4
-        for v in sol.enumerate():
-            assert TREFOIL_MATRIX.mul_vec(v) == Gf2Vector.from_indices(3, [i])
+        particular, basis = solve_affine(TREFOIL_MATRIX, 1 << i)
+        assert len(basis) == 2
+        solutions = [particular ^ k for k in span(basis)]
+        assert len(set(solutions)) == 4
+        for v in solutions:
+            assert TREFOIL_MATRIX.mul_vec(v) == 1 << i
 
 
 def test_solve_inconsistent():
     m = Gf2Matrix(1, 2, (0,))
     with pytest.raises(Inconsistent):
-        solve_affine(m, Gf2Vector(1, 1))
+        solve_affine(m, 1)
+
+
+def test_vectors_wider_than_the_matrix_are_rejected():
+    with pytest.raises(ValueError):
+        solve_affine(TREFOIL_MATRIX, 1 << 3)
+    with pytest.raises(ValueError):
+        solve_affine(TREFOIL_MATRIX, -1)
+    with pytest.raises(ValueError):
+        TREFOIL_MATRIX.mul_vec(1 << 5)
+    assert TREFOIL_MATRIX.mul_vec(1) == 0b011
+
+
+def test_encode_checks_range_and_decode_inverts_it():
+    assert encode([0, 3, 4], 5) == 0b11001
+    assert decode(0b11001) == [0, 3, 4]
+    assert decode(0) == []
+    for bad in (5, -1):
+        with pytest.raises(ValueError, match=f"index {bad} out of range"):
+            encode([0, bad], 5)
+
+
+def test_span_doubling_order():
+    assert span([]) == [0]
+    assert span([1, 2, 4]) == list(range(8))
+    assert span([0b110, 0b011]) == [0, 0b110, 0b011, 0b101]
 
 
 def test_kernel_identity_empty():
@@ -65,24 +92,15 @@ def test_kernel_identity_empty():
 def test_kernel_single_row():
     basis = kernel(Gf2Matrix(1, 2, (0b11,)))
     assert len(basis) == 1
-    assert basis[0] == Gf2Vector.from_string("11")
+    assert basis[0] == 0b11
 
 
 def test_kernel_trefoil_spans_color_classes():
     basis = kernel(TREFOIL_MATRIX)
     assert len(basis) == 2
-    span = {0}
-    for b in basis:
-        span |= {s ^ b.bits for s in span}
-    black = Gf2Vector.from_indices(5, [0, 3, 4]).bits
-    white = Gf2Vector.from_indices(5, [1, 2]).bits
-    assert span == {0, black, white, black ^ white}
-
-
-def test_enumerate_guard():
-    basis = tuple(Gf2Vector.from_indices(25, [i]) for i in range(25))
-    with pytest.raises(KernelTooLarge):
-        next(AffineSolution(Gf2Vector(25, 0), basis).enumerate())
+    black = encode([0, 3, 4], 5)
+    white = encode([1, 2], 5)
+    assert set(span(basis)) == {0, black, white, black ^ white}
 
 
 def test_delete_columns_shape():
@@ -97,7 +115,7 @@ def test_invert_square_roundtrip():
     inv = invert_square(m)
     n = m.rows
     for i in range(n):
-        e = Gf2Vector.from_indices(n, [i])
+        e = 1 << i
         assert m.mul_vec(inv.mul_vec(e)) == e
 
 
@@ -130,33 +148,27 @@ def test_invert_square_is_inverse_or_singular(m):
         assert rank(m) < n
         return
     for i in range(n):
-        e = Gf2Vector.from_indices(n, [i])
+        e = 1 << i
         assert m.mul_vec(inv.mul_vec(e)) == e
 
 
 @given(matrices(), st.integers(0, 255))
 def test_solutions_satisfy_system(m, seed):
-    b = Gf2Vector(m.rows, seed % (1 << m.rows))
+    b = seed % (1 << m.rows)
     try:
-        sol = solve_affine(m, b)
+        particular, basis = solve_affine(m, b)
     except Inconsistent:
         assert rank(m) < m.rows
         return
-    for v in sol.enumerate():
-        assert m.mul_vec(v) == b
-    assert len(sol.kernel_basis) == m.cols - rank(m)
+    for k in span(basis):
+        assert m.mul_vec(particular ^ k) == b
+    assert len(basis) == m.cols - rank(m)
 
 
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
     for v in kernel(m):
-        assert m.mul_vec(v).bits == 0
-
-
-@given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
-def test_xor_weight_law(a, b):
-    va, vb = Gf2Vector(12, a), Gf2Vector(12, b)
-    assert (va ^ vb).weight() == va.weight() + vb.weight() - 2 * (a & b).bit_count()
+        assert m.mul_vec(v) == 0
 
 
 @given(st.integers(0, 2**10 - 1), st.integers(0, 2**10 - 1))

@@ -4,9 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from regionknot.construct import add_kink, rational_diagram
-from regionknot.diagram import ReducibleDiagram, faces, parse_pd
+from regionknot.construct import NotAKnot, add_kink, rational_diagram
+from regionknot.diagram import ReducibleDiagram, faces, is_irreducible, parse_pd
 from regionknot.gf2 import Singular, rank
 from regionknot.rcc import (
     NotBlackWhitePair,
@@ -150,8 +151,8 @@ def test_region_set_key_tie_break():
 def test_bw_complements_identities():
     m = rcc_map(TREFOIL)
     black, white = m.coloring.black, m.coloring.white
-    assert bw_complements(m, frozenset()) == (black, white, black | white)
-    assert bw_complements(m, black) == (frozenset(), black | white, white)
+    assert bw_complements(m.coloring, frozenset()) == (black, white, black | white)
+    assert bw_complements(m.coloring, black) == (frozenset(), black | white, white)
 
 
 def test_bw_complements_equal_effect_on_irreducible():
@@ -160,7 +161,7 @@ def test_bw_complements_equal_effect_on_irreducible():
     rng = random.Random(2)
     for _ in range(200):
         s = frozenset(r for r in range(n) if rng.random() < 0.5)
-        images = {phi(m, t) for t in (s,) + bw_complements(m, s)}
+        images = {phi(m, t) for t in (s,) + bw_complements(m.coloring, s)}
         assert len(images) == 1
 
 
@@ -209,6 +210,19 @@ def test_solve_avoiding_empty_target():
     b = min(m.coloring.black)
     w = min(m.coloring.white)
     assert solve_avoiding(m, frozenset(), b, w) == frozenset()
+
+
+def test_out_of_range_indices_are_rejected():
+    m = rcc_map(TREFOIL)
+    b, w = min(m.coloring.black), min(m.coloring.white)
+    for region in (5, -1):
+        with pytest.raises(ValueError, match=f"index {region} out of range"):
+            phi(m, frozenset({0, region}))
+    for crossing in (3, -1):
+        with pytest.raises(ValueError, match=f"index {crossing} out of range"):
+            solve_for_crossings(m, frozenset({0, crossing}))
+        with pytest.raises(ValueError, match=f"index {crossing} out of range"):
+            solve_avoiding(m, frozenset({0, crossing}), b, w)
 
 
 def test_solve_avoiding_bad_pair():
@@ -294,3 +308,43 @@ def test_rcc_changes_trefoil_to_unknot():
     sols = solve_for_crossings(m, frozenset({0, 1}))
     changed = apply_rcc(TREFOIL, m, sols[0])
     assert jones_normalized(changed).is_one()
+
+
+@st.composite
+def rational_knots(draw):
+    """Irreducible rational knot diagrams with at most 30 crossings."""
+    seq = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6).filter(lambda q: sum(q) <= 30))
+    try:
+        d = rational_diagram(seq)
+    except NotAKnot:
+        assume(False)
+    assume(is_irreducible(d))
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_knots(), st.randoms(use_true_random=False))
+def test_rcc_layer_on_random_rational_knots(d, rng):
+    m = rcc_map(d)
+    rm = m.region_map
+    c, n = d.n_crossings, rm.n_regions
+    assert rank(m.matrix) == c
+    assert len(m.kernel_basis) == 2
+    for _ in range(5):
+        s = frozenset(r for r in range(n) if rng.random() < 0.5)
+        assert phi(m, s) == phi_bruteforce(rm, s)
+
+    target = frozenset(i for i in range(c) if rng.random() < 0.5)
+    sols = solve_for_crossings(m, target)
+    assert len(set(sols)) == 4
+    assert sols == sorted(sols, key=_region_set_key)
+    assert all(phi_bruteforce(rm, s) == target for s in sols)
+
+    x = rng.randrange(c)
+    assert splice_solution(d, x) in solve_for_crossings(m, frozenset({x}))
+
+    b = rng.choice(sorted(m.coloring.black))
+    w = rng.choice(sorted(m.coloring.white))
+    s = solve_avoiding(m, target, b, w)
+    assert b not in s and w not in s
+    assert phi_bruteforce(rm, s) == target
