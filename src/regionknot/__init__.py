@@ -64,6 +64,7 @@ from .polynomial import LaurentPolynomial
 from .rcc import (
     CrossingSet,
     NotBlackWhitePair,
+    ProofContractViolated,
     RccMap,
     RegionSet,
     apply_rcc,
@@ -79,7 +80,6 @@ from .rcc import (
 )
 from .unknotting import (
     EquilibriumReport,
-    ProofContractViolated,
     TooManyCrossings,
     UnknottingCertificate,
     bw_complement_bound,

@@ -6,11 +6,19 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .diagram import KnotDiagram, parse_pd
+from .diagram import (
+    EdgeLabelNotTwice,
+    KnotDiagram,
+    MalformedToken,
+    MultipleComponents,
+    NotPlanar,
+    parse_pd,
+)
 
 
 class MalformedCatalog(ValueError):
-    """A catalog file that cannot be read, or a line without a tab."""
+    """A catalog file that cannot be read, or a line that is not a named
+    sphere diagram."""
 
 
 @dataclass(frozen=True)
@@ -33,8 +41,12 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
             continue
         if "\t" not in line:
             raise MalformedCatalog(f"line {lineno}: expected name<TAB>pd_code")
-        name, pd = line.split("\t", 1)
-        entries.append(CatalogEntry(name.strip(), pd.strip(), parse_pd(pd)))
+        name, pd = (part.strip() for part in line.split("\t", 1))
+        try:
+            diagram = parse_pd(pd)
+        except (MalformedToken, EdgeLabelNotTwice, MultipleComponents, NotPlanar) as exc:
+            raise MalformedCatalog(f"line {lineno} ({name}): {type(exc).__name__}: {exc}") from exc
+        entries.append(CatalogEntry(name, pd, diagram))
     return entries
 
 

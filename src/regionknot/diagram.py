@@ -310,7 +310,6 @@ def faces(d: KnotDiagram) -> RegionMap:
     )
 
 
-@lru_cache(maxsize=None)
 def edge_arrivals(d: KnotDiagram) -> tuple[tuple[int, int], ...]:
     """For each edge 1..2c, the (crossing, slot) occurrence it runs into."""
     out: list[tuple[int, int] | None] = [None] * d.n_edges
@@ -334,30 +333,39 @@ def is_irreducible(d: KnotDiagram, rm: RegionMap | None = None) -> bool:
     )
 
 
-def checkerboard(rm: RegionMap) -> Coloring:
-    """Proper 2-coloring of the regions; region 0 is black."""
-    n = rm.n_regions
-    if rm.n_crossings == 0:
-        return Coloring(frozenset({0}), frozenset({1}))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in rm.edge_sides:
-        adj[a].append(b)
-        adj[b].append(a)
+def _two_color(n: int, links: Iterable[tuple[int, int, int]]) -> list[int]:
+    """Colors 0/1 of nodes 0..n-1: node 0 gets 0, and every link (u, v, p)
+    forces ``color[u] ^ color[v] == p``.
+
+    Raises NotPlanar if two links conflict or some node is not reached.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, p in links:
+        adj[u].append((v, p))
+        adj[v].append((u, p))
     color = [-1] * n
     color[0] = 0
-    queue = [0]
-    while queue:
-        r = queue.pop()
-        for s in adj[r]:
-            if color[s] == -1:
-                color[s] = color[r] ^ 1
-                queue.append(s)
-            elif color[s] == color[r]:
-                raise AssertionError("projection is not checkerboard colorable")
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v, p in adj[u]:
+            if color[v] == -1:
+                color[v] = color[u] ^ p
+                stack.append(v)
+            elif color[v] != color[u] ^ p:
+                raise NotPlanar("regions admit no consistent 2-coloring")
     if -1 in color:
-        raise AssertionError("region adjacency graph is disconnected")
-    black = frozenset(r for r in range(n) if color[r] == 0)
-    white = frozenset(r for r in range(n) if color[r] == 1)
+        raise NotPlanar("region adjacency graph is disconnected")
+    return color
+
+
+def checkerboard(rm: RegionMap) -> Coloring:
+    """Proper 2-coloring of the regions; region 0 is black."""
+    if rm.n_crossings == 0:
+        return Coloring(frozenset({0}), frozenset({1}))
+    color = _two_color(rm.n_regions, ((u, v, 1) for u, v in rm.edge_sides))
+    black = frozenset(r for r, k in enumerate(color) if k == 0)
+    white = frozenset(r for r, k in enumerate(color) if k == 1)
     return Coloring(black, white)
 
 

@@ -22,6 +22,7 @@ from .diagram import (
     NotPlanar,
     ReducibleDiagram,
     RegionMap,
+    _two_color,
     apply_crossing_changes,
     checkerboard,
     faces,
@@ -45,6 +46,10 @@ CrossingSet = frozenset[int]
 
 class NotBlackWhitePair(ValueError):
     """The excluded regions are not one black and one white."""
+
+
+class ProofContractViolated(RuntimeError):
+    """A guarantee the theory gives was broken."""
 
 
 def region_choice_matrix(d: KnotDiagram, rm: RegionMap | None = None) -> Gf2Matrix:
@@ -86,8 +91,8 @@ def rcc_map(d: KnotDiagram) -> RccMap:
 def _region_set_key(s: RegionSet) -> tuple[int, list[int]]:
     """The canonical order on region sets: smaller sets first, then by the
     sorted region indices ({0, 2} before {1, 3}). It picks the minimum
-    solution, the u_R coset representative and the certificate's
-    BW-complement."""
+    solution, the first region set per effect in the u_R search and the
+    certificate's BW-complement."""
     return (len(s), sorted(s))
 
 
@@ -147,9 +152,9 @@ def splice_solution(d: KnotDiagram, x: int) -> RegionSet:
 
     Smooth the crossing respecting orientation; the curve falls apart into
     two closed components. Checkerboard-color the sphere relative to the
-    component holding the lower-labeled outgoing edge alone, and take every
-    original region inside its black part. Verified before returning:
-    the effect of the result is exactly {x}.
+    component holding edge 1 alone, and take every original region inside
+    its black part. Verified before returning: the effect of the result is
+    exactly {x}.
     """
     m = rcc_map(d)
     if not is_irreducible(d, m.region_map):
@@ -158,77 +163,23 @@ def splice_solution(d: KnotDiagram, x: int) -> RegionSet:
         raise ValueError(f"crossing {x} not in diagram")
     rm = m.region_map
     n_edges = d.n_edges
-
     crossing = d.crossings[x]
-    under_in_edge = crossing.edges[0]
-    over_in_edge = crossing.edges[crossing.over_in]
 
     # Orientation smoothing splits the traversal circle at the two passages:
-    # one component holds edges a+1..o, the other o+1..a (cyclically).
-    a, o = under_in_edge, over_in_edge
-
-    def interval(start: int, stop: int) -> set[int]:
-        out = set()
-        e = start
-        while True:
-            out.add(e)
-            if e == stop:
-                return out
-            e = e % n_edges + 1
-
-    comp1 = interval(a % n_edges + 1, o)
-    comp2 = interval(o % n_edges + 1, a)
-    chosen = comp1 if min(comp1) < min(comp2) else comp2
-
-    # Merge regions separated only by the discarded strands.
-    parent = list(range(rm.n_regions))
-
-    def find(r: int) -> int:
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
-    def union(r: int, s: int) -> None:
-        rr, rs = find(r), find(s)
-        if rr != rs:
-            parent[rr] = rs
-
-    for e in range(1, n_edges + 1):
-        if e not in chosen:
-            u, v = rm.edge_sides[e - 1]
-            union(u, v)
+    # one component holds edges a+1..o, the other o+1..a (cyclically). Only
+    # the strands of edge 1's component separate colors.
+    a, o = crossing.edges[0], crossing.edges[crossing.over_in]
+    side = [(e - a - 1) % n_edges < (o - a) % n_edges for e in range(1, n_edges + 1)]
+    links = [(u, v, int(side[k] == side[0])) for k, (u, v) in enumerate(rm.edge_sides)]
     # The smoothing opens a channel between two opposite corners of x.
-    channel = (1, 3) if crossing.over_in == 3 else (0, 2)
+    first = 1 if crossing.over_in == 3 else 0
     corners = rm.incident_regions(x)
-    union(corners[channel[0]], corners[channel[1]])
+    links.append((corners[first], corners[first + 2], 0))
 
-    # 2-color the merged regions across the surviving strand.
-    color: dict[int, int] = {}
-    adj: dict[int, set[int]] = {}
-    for e in chosen:
-        u, v = rm.edge_sides[e - 1]
-        ru, rv = find(u), find(v)
-        adj.setdefault(ru, set()).add(rv)
-        adj.setdefault(rv, set()).add(ru)
-    anchor = find(0)
-    color[anchor] = 0
-    queue = [anchor]
-    while queue:
-        r = queue.pop()
-        for s in adj.get(r, ()):
-            if s not in color:
-                color[s] = color[r] ^ 1
-                queue.append(s)
-            elif color[s] == color[r]:
-                raise AssertionError("spliced component is not checkerboard colorable")
-
-    result = frozenset(
-        r for r in range(rm.n_regions) if color.get(find(r), 0) == 0
-    )
-    effect = phi(m, result)
-    if effect != frozenset({x}):
-        raise AssertionError("splice construction failed to isolate the crossing")
+    color = _two_color(rm.n_regions, links)
+    result = frozenset(r for r in range(rm.n_regions) if color[r] == 0)
+    if phi(m, result) != frozenset({x}):
+        raise ProofContractViolated("splice construction failed to isolate the crossing")
     return result
 
 

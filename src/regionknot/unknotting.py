@@ -9,8 +9,10 @@ the check is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .diagram import (
     Basepoint,
@@ -22,7 +24,14 @@ from .diagram import (
     is_irreducible,
 )
 from .polynomial import LaurentPolynomial
-from .rcc import _region_set_key, bw_complements, phi, rcc_map, solve_for_crossings
+from .rcc import (
+    ProofContractViolated,
+    _region_set_key,
+    bw_complements,
+    phi,
+    rcc_map,
+    solve_for_crossings,
+)
 
 JONES_GUARD = 14
 UR_GUARD = 10
@@ -30,10 +39,6 @@ UR_GUARD = 10
 
 class TooManyCrossings(ValueError):
     """Crossing count exceeds the guard for an exact computation."""
-
-
-class ProofContractViolated(RuntimeError):
-    """The basepoint-shift search ran past its guaranteed stopping point."""
 
 
 @dataclass(frozen=True)
@@ -85,24 +90,17 @@ class UnknottingCertificate:
 _DELTA = LaurentPolynomial({2: -1, -2: -1})  # loop factor -A^2 - A^-2
 
 
-def _smoothing_pairs(d: KnotDiagram) -> list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
-    """Per crossing: edge pairs joined by the A- and B-smoothings.
+@lru_cache(maxsize=4096)
+def kauffman_bracket(d: KnotDiagram, max_crossings: int = JONES_GUARD) -> LaurentPolynomial:
+    """Exact state-sum Kauffman bracket in the variable A.
 
     With slots counterclockwise from the incoming under-strand, the
     A-smoothing joins slots (0,1) and (2,3), the B-smoothing (0,3) and
     (1,2). This pairing, together with the sign convention on crossings,
-    reproduces the knot-table Jones values for table PD codes.
+    reproduces the knot-table Jones values for table PD codes. A state's
+    loops are its edges less the joins that merge two loops; states are
+    tallied by (A-smoothings, loops) before the polynomial is expanded.
     """
-    out = []
-    for x in d.crossings:
-        e = x.edges
-        out.append(((e[0], e[1], e[2], e[3]), (e[0], e[3], e[1], e[2])))
-    return out
-
-
-@lru_cache(maxsize=4096)
-def kauffman_bracket(d: KnotDiagram, max_crossings: int = JONES_GUARD) -> LaurentPolynomial:
-    """Exact state-sum Kauffman bracket in the variable A."""
     c = d.n_crossings
     if c > max_crossings:
         raise TooManyCrossings(f"{c} crossings exceeds guard {max_crossings}")
@@ -110,13 +108,8 @@ def kauffman_bracket(d: KnotDiagram, max_crossings: int = JONES_GUARD) -> Lauren
         return LaurentPolynomial.one()
 
     n = d.n_edges
-    pairs = _smoothing_pairs(d)
-    delta_pows = [LaurentPolynomial.one()]
-    for _ in range(c + 1):
-        delta_pows.append(delta_pows[-1] * _DELTA)
-
-    acc: dict[int, int] = {}
-    parent = list(range(n + 1))
+    # per crossing: the joins of its B- and A-smoothing, indexed by state bit
+    joins = [(((p, s), (q, r)), ((p, q), (r, s))) for p, q, r, s in (x.edges for x in d.crossings)]
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -124,26 +117,25 @@ def kauffman_bracket(d: KnotDiagram, max_crossings: int = JONES_GUARD) -> Lauren
             a = parent[a]
         return a
 
+    tally: Counter[tuple[int, int]] = Counter()
     for state in range(1 << c):
-        for i in range(n + 1):
-            parent[i] = i
-        a_count = 0
+        parent = list(range(n + 1))  # a fresh union-find per state, read by find
+        loops = n
         for i in range(c):
-            if (state >> i) & 1:
-                a_count += 1
-                p, q, r, s = pairs[i][0]
-            else:
-                p, q, r, s = pairs[i][1]
-            for u, v in ((p, q), (r, s)):
+            for u, v in joins[i][(state >> i) & 1]:
                 ru, rv = find(u), find(v)
                 if ru != rv:
                     parent[ru] = rv
-        loops = len({find(e) for e in range(1, n + 1)})
-        shift = 2 * a_count - c  # a_count - b_count
-        for exp, coeff in delta_pows[loops - 1].items():
-            e = exp + shift
-            acc[e] = acc.get(e, 0) + coeff
-    return LaurentPolynomial(acc)
+                    loops -= 1
+        tally[state.bit_count(), loops] += 1
+
+    delta_pows = [LaurentPolynomial.one()]
+    for _ in range(c):
+        delta_pows.append(delta_pows[-1] * _DELTA)
+    total = LaurentPolynomial.zero()
+    for (a_count, loops), count in tally.items():
+        total = total + delta_pows[loops - 1].scale(count, 2 * a_count - c)  # A^(a - b)
+    return total
 
 
 def jones_normalized(d: KnotDiagram, max_crossings: int = JONES_GUARD) -> LaurentPolynomial:
@@ -157,7 +149,7 @@ def jones_normalized(d: KnotDiagram, max_crossings: int = JONES_GUARD) -> Lauren
     terms: dict[int, int] = {}
     for exp, coeff in normalized.items():
         if exp % 4:
-            raise AssertionError("normalized bracket has a non-quartic exponent")
+            raise ProofContractViolated("normalized bracket has a non-quartic exponent")
         terms[-exp // 4] = coeff
     return LaurentPolynomial(terms, variable="t")
 
@@ -209,40 +201,32 @@ def monotone_target(d: KnotDiagram, p: Basepoint) -> frozenset[int]:
     return frozenset(bad)
 
 
-def _class_representative(
-    s: frozenset[int], kernel_sets: tuple[frozenset[int], ...]
-) -> frozenset[int]:
-    return min((s ^ k for k in kernel_sets), key=_region_set_key)
-
-
 def region_unknotting_number(
     d: KnotDiagram, max_crossings: int = UR_GUARD
 ) -> tuple[int, UnknottingCertificate]:
     """Exact minimum number of regions whose RCC trivializes the diagram.
 
-    Searches region sets by increasing cardinality, skipping everything but
-    the canonical representative of each kernel coset (the four coset members
-    act identically on the crossings).
+    Searches region sets by increasing cardinality in the canonical order
+    (``_region_set_key``, which ``combinations`` follows) and tests only the
+    first set met for each effect. Sets with one effect differ by a kernel
+    element, so that first set is the minimum of its kernel coset.
     """
     c = d.n_crossings
     if c > max_crossings:
         raise TooManyCrossings(f"{c} crossings exceeds guard {max_crossings}")
     m = rcc_map(d)
     n = m.region_map.n_regions
-    kernel_sets = tuple(m.kernel_elements())
-
-    from itertools import combinations
-
+    tried: set[frozenset[int]] = set()
     for size in range(n + 1):
         for combo in combinations(range(n), size):
             s = frozenset(combo)
-            if _class_representative(s, kernel_sets) != s:
-                continue
             changed = phi(m, s)
-            candidate = apply_crossing_changes(d, changed)
-            poly = jones_normalized(candidate)
+            if changed in tried:
+                continue
+            tried.add(changed)
+            poly = jones_normalized(apply_crossing_changes(d, changed))
             if poly.is_one():
-                cert = UnknottingCertificate(
+                return size, UnknottingCertificate(
                     regions=s,
                     size=size,
                     crossings_changed=changed,
@@ -250,8 +234,7 @@ def region_unknotting_number(
                     crossing_count=c,
                     method="exhaustive",
                 )
-                return size, cert
-    raise AssertionError("every diagram admits an unknotting region set")
+    raise ProofContractViolated("no region set trivializes the diagram")
 
 
 def bw_complement_bound(s: frozenset[int], col: Coloring) -> int:

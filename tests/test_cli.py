@@ -152,6 +152,20 @@ def test_catalog_line_without_tab_is_one_line(tmp_path, capsys):
     assert err.startswith("regionknot: MalformedCatalog: line 2:")
 
 
+def test_catalog_bad_pd_names_the_line(tmp_path, capsys):
+    cat = tmp_path / "bad.txt"
+    cat.write_text(f"3_1\t{TREFOIL}\nbad\tX[1,2,3]\n")
+    err = run_bad(capsys, "catalog", "--path", str(cat))
+    assert err == "regionknot: MalformedCatalog: line 2 (bad): MalformedToken: bad token 'X[1,2,3]'\n"
+
+
+def test_catalog_non_sphere_code_names_the_line(tmp_path, capsys):
+    cat = tmp_path / "torus.txt"
+    cat.write_text("# a comment\nflat\tX[1,2,3,4] X[2,3,1,4]\n")
+    err = run_bad(capsys, "catalog", "--path", str(cat))
+    assert err.startswith("regionknot: MalformedCatalog: line 2 (flat): NotPlanar: 2 regions")
+
+
 def test_catalog_missing_file_is_one_line(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     err = run_bad(capsys, "catalog", "--path", str(missing))

@@ -341,7 +341,12 @@ def test_rcc_layer_on_random_rational_knots(d, rng):
     assert all(phi_bruteforce(rm, s) == target for s in sols)
 
     x = rng.randrange(c)
-    assert splice_solution(d, x) in solve_for_crossings(m, frozenset({x}))
+    spliced = splice_solution(d, x)
+    assert spliced in solve_for_crossings(m, frozenset({x}))
+    # closed form: the set avoiding region 0 and the far side of edge 1,
+    # complemented on the black class
+    w1 = rm.edge_sides[0][1]
+    assert spliced == solve_avoiding(m, frozenset({x}), 0, w1) ^ m.coloring.black
 
     b = rng.choice(sorted(m.coloring.black))
     w = rng.choice(sorted(m.coloring.white))

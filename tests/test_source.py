@@ -7,11 +7,16 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "regionknot"
 
 
 def test_no_assert_statements():
-    # python -O strips assert statements, so contracts must be typed raises
+    # python -O strips assert statements, and a bare AssertionError is no
+    # contract either: both must be typed raises
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno}")
     assert not found, found
     assert len(list(SRC.glob("*.py"))) >= 9  # the walk saw the package

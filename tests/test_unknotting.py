@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from regionknot.catalog import bundled_diagram
-from regionknot.construct import add_kink, rational_diagram
+from regionknot.construct import NotAKnot, add_kink, rational_diagram
 from regionknot.diagram import (
     Basepoint,
     ReducibleDiagram,
@@ -87,6 +88,18 @@ def bracket_oracle(d):
 )
 def test_bracket_matches_recursive_oracle(diagram):
     assert kauffman_bracket(diagram) == bracket_oracle(diagram)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=5).filter(lambda q: sum(q) <= 9), st.data())
+def test_bracket_matches_recursive_oracle_on_random_rational_knots(seq, data):
+    try:
+        d = rational_diagram(seq)
+    except NotAKnot:
+        assume(False)
+    assert kauffman_bracket(d) == bracket_oracle(d)
+    kinked = add_kink(d, data.draw(st.integers(1, d.n_edges), label="kink edge"))
+    assert kauffman_bracket(kinked) == bracket_oracle(kinked)
 
 
 def test_bracket_hand_value_trefoil():
@@ -266,20 +279,27 @@ def test_ur_round_diagram_zero():
     assert cert.regions == frozenset()
 
 
-def test_ur_trefoil_one_with_naive_oracle():
-    # independent check: minimum over every one of the 2^5 region subsets
-    m = rcc_map(TREFOIL)
-    best = None
-    for mask in range(1 << 5):
-        s = frozenset(i for i in range(5) if (mask >> i) & 1)
-        if is_trivial(apply_rcc(TREFOIL, m, s)):
-            size = len(s)
-            best = size if best is None else min(best, size)
-    assert best == 1
-    ur, cert = region_unknotting_number(TREFOIL)
-    assert ur == 1
+@pytest.mark.parametrize("name", ["3_1", "4_1", "5_1", "5_2", "6_1", "7_1", "3_1+kink"])
+def test_ur_trefoil_one_with_naive_oracle(name):
+    # independent check: scan all 2^(c+2) region subsets by size, then by
+    # sorted indices; u_R is the size of the first trivializing one, and the
+    # search returns that very set. On 7_1 the two white regions have one
+    # effect, so sets met before the answer repeat effects.
+    d = add_kink(TREFOIL, 1) if name == "3_1+kink" else bundled_diagram(name)
+    m = rcc_map(d)
+    n = m.region_map.n_regions
+    subsets = [frozenset(i for i in range(n) if (mask >> i) & 1) for mask in range(1 << n)]
+    subsets.sort(key=lambda s: (len(s), sorted(s)))
+    first = next(s for s in subsets if is_trivial(apply_rcc(d, m, s)))
+    if name == "3_1":
+        assert len(first) == 1
+    kauffman_bracket.cache_clear()
+    ur, cert = region_unknotting_number(d)
+    assert kauffman_bracket.cache_info().hits == 0  # each effect is tested once
+    assert ur == len(first)
+    assert cert.regions == first
     assert cert.trivializes
-    assert is_trivial(apply_rcc(TREFOIL, m, cert.regions))
+    assert is_trivial(apply_rcc(d, m, cert.regions))
 
 
 def test_ur_certificate_replayable():
