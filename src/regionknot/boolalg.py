@@ -18,6 +18,8 @@ from .gf2 import _mul_rows, decode, span
 from .rcc import RccMap, _avoiding_inverse, rcc_map
 
 _TABLE_LIMIT = 12  # effect and preimage are table lookups up to 12 crossings
+_AXIOM_EXHAUSTIVE_LIMIT = 40000  # triples checked exhaustively up to this many
+_HOMOMORPHISM_EXHAUSTIVE_LIMIT = 4096  # pairs checked exhaustively up to this many
 
 
 def _submasks(ground: int):
@@ -188,14 +190,12 @@ def _check_tuples(
     return AxiomReport(True, mode, checked)
 
 
-def verify_axioms(
-    alg, sample: int = 1000, seed: int = 0, exhaustive_limit: int = 40000
-) -> AxiomReport:
+def verify_axioms(alg, sample: int = 1000, seed: int = 0) -> AxiomReport:
     """Check the five Boolean-algebra axioms on the given structure.
 
-    Exhaustive over all triples when |alg|^3 stays below ``exhaustive_limit``,
-    otherwise over ``sample`` seeded random triples. Violations are reported,
-    not raised.
+    Exhaustive over all triples when |alg|^3 stays within
+    ``_AXIOM_EXHAUSTIVE_LIMIT``, otherwise over ``sample`` seeded random
+    triples. Violations are reported, not raised.
     """
     elements = list(alg.elements())
     top, bottom = alg.top, alg.bottom
@@ -218,13 +218,10 @@ def verify_axioms(
             return f"complement laws fail on {decode(a)}"
         return None
 
-    return _check_tuples(check_triple, elements, 3, exhaustive_limit, sample, seed)
+    return _check_tuples(check_triple, elements, 3, _AXIOM_EXHAUSTIVE_LIMIT, sample, seed)
 
 
-def verify_homomorphism(
-    alg: RestrictedAlgebra, sample: int = 1000, seed: int = 0,
-    exhaustive_limit: int = 4096,
-) -> AxiomReport:
+def verify_homomorphism(alg: RestrictedAlgebra, sample: int = 1000, seed: int = 0) -> AxiomReport:
     """Check that the effect map turns join/meet/complement into
     union/intersection/complement on the crossing side."""
     elements = list(alg.elements())
@@ -240,7 +237,7 @@ def verify_homomorphism(
             return f"complement image fails on {decode(a)}"
         return None
 
-    return _check_tuples(check_pair, elements, 2, exhaustive_limit, sample, seed)
+    return _check_tuples(check_pair, elements, 2, _HOMOMORPHISM_EXHAUSTIVE_LIMIT, sample, seed)
 
 
 def verify_order_isomorphism(alg: RestrictedAlgebra) -> AxiomReport:

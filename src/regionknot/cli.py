@@ -18,9 +18,9 @@ from .boolalg import (
     verify_order_isomorphism,
 )
 from .catalog import CatalogEntry, bundled_catalog, load_catalog
-from .diagram import KnotDiagram, checkerboard, faces, is_irreducible, parse_pd
+from .diagram import is_irreducible, parse_pd
 from .gf2 import rank
-from .rcc import rcc_map, solve_avoiding, solve_for_crossings, splice_solution
+from .rcc import RccMap, rcc_map, solve_avoiding, solve_for_crossings, splice_solution
 from .unknotting import (
     UR_GUARD,
     region_unknotting_number,
@@ -30,9 +30,8 @@ from .unknotting import (
 CATALOG_ENV = "REGIONKNOT_CATALOG"
 
 
-def _regions_payload(d: KnotDiagram) -> dict[str, Any]:
-    rm = faces(d)
-    col = checkerboard(rm)
+def _regions_payload(m: RccMap) -> dict[str, Any]:
+    d, rm, col = m.diagram, m.region_map, m.coloring
     return {
         "crossings": d.n_crossings,
         "regions": rm.n_regions,
@@ -76,8 +75,7 @@ def _parse_names(text: str, prefix: str, count: int, length: int | None = None) 
 
 
 def cmd_regions(args: argparse.Namespace) -> dict[str, Any]:
-    d = parse_pd(args.pd)
-    payload = _regions_payload(d)
+    payload = _regions_payload(rcc_map(parse_pd(args.pd)))
     print(
         f"crossings={payload['crossings']} regions={payload['regions']} "
         f"irreducible={payload['irreducible']} |B|={payload['black']} "
@@ -144,11 +142,10 @@ def cmd_ur(args: argparse.Namespace) -> dict[str, Any]:
     d = parse_pd(args.pd)
     ur, cert = region_unknotting_number(d, max_crossings=args.max_crossings)
     payload = {"ur": ur, "certificate": _certificate_payload(cert)}
-    c = d.n_crossings
     print(
         f"u_R = {ur} via {{{', '.join(_region_names(cert.regions))}}}; "
-        f"<=(c+2)/2: {'yes' if 2 * ur <= c + 2 else 'NO'}; "
-        f"<=(c+1)/2: {'yes' if 2 * ur <= c + 1 else 'NO'}"
+        f"<=(c+2)/2: {'yes' if cert.meets_weak_bound else 'NO'}; "
+        f"<=(c+1)/2: {'yes' if cert.meets_strong_bound else 'NO'}"
     )
     return payload
 
@@ -175,8 +172,8 @@ def cmd_boolcheck(args: argparse.Namespace) -> dict[str, Any]:
     ok = True
     for b, w in pairs:
         alg = build_restricted(d, b, w)
-        axioms = verify_axioms(alg, sample=args.sample)
-        homo = verify_homomorphism(alg, sample=args.sample)
+        axioms = verify_axioms(alg)
+        homo = verify_homomorphism(alg)
         order = (
             verify_order_isomorphism(alg)
             if alg.size <= 64
@@ -215,7 +212,7 @@ def cmd_catalog(args: argparse.Namespace) -> list[dict[str, Any]]:
         d = e.diagram
         m = rcc_map(d)
         payload: dict[str, Any] = {"command": "catalog", "name": e.name, "pd": e.pd}
-        payload.update(_regions_payload(d))
+        payload.update(_regions_payload(m))
         payload["rank"] = rank(m.matrix)
         splice_ok = True
         if payload["irreducible"]:
@@ -236,8 +233,8 @@ def cmd_catalog(args: argparse.Namespace) -> list[dict[str, Any]]:
         b, w = pairs[0]
         alg = build_restricted(d, b, w)
         payload["bool_ok"] = (
-            verify_axioms(alg, sample=args.sample).ok
-            and verify_homomorphism(alg, sample=args.sample).ok
+            verify_axioms(alg, sample=200).ok
+            and verify_homomorphism(alg, sample=200).ok
         )
         payload["elapsed_ms"] = round(1000 * (time.monotonic() - t0), 2)
         records.append(payload)
@@ -294,12 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boolcheck", help="Boolean algebra axioms and order check")
     p.add_argument("--pd", required=True)
     p.add_argument("--pair", help="excluded pair, e.g. R1,R2")
-    p.add_argument("--sample", type=int, default=1000)
     p.set_defaults(fn=cmd_boolcheck)
 
     p = sub.add_parser("catalog", help="run every check over a catalog file")
     p.add_argument("--path", help=f"catalog file (default: ${CATALOG_ENV} or bundled)")
-    p.add_argument("--sample", type=int, default=200)
     p.set_defaults(fn=cmd_catalog)
     return parser
 

@@ -1,9 +1,11 @@
-"""Diagram constructors: twist stacks, tangle sums, braid closures, kinks.
+"""Diagram constructors: rational stacks, Montesinos sums, braid closures, kinks.
 
-All builders assemble an unoriented rotation system (counterclockwise arc
-tuples plus an over-diagonal per crossing) and then serialize it through the
-PD parser, so every constructed diagram passes the same validation as text
-input.
+Each builder assembles one unoriented rotation system per diagram
+(counterclockwise arc tuples plus an over-diagonal per crossing): twist
+stacks allocate their arcs and crossings in it, and joining two tangle ends
+or closing the diagram merges two arcs. The system is then oriented and
+serialized through the PD parser, so every constructed diagram passes the
+same validation as text input.
 """
 
 from __future__ import annotations
@@ -64,122 +66,51 @@ class _Rotation:
         n_pass = 2 * len(tuples)
         start = min(mates, key=lambda p: (tuples[p[0]][p[1]], p))
         label: dict[tuple[int, int], int] = {}
+        entry: dict[tuple[int, int], int] = {}  # (crossing, slot parity) -> entry slot
         try:
             for step, (i, s) in enumerate(_passages(mates, start)):
-                label[(i, s)] = step + 1  # arrival end of edge step+1
-                label[(i, (s + 2) % 4)] = step + 2 if step + 1 < n_pass else 1
+                entry[i, s % 2] = s
+                label[i, s] = step + 1  # arrival end of edge step+1
+                label[i, (s + 2) % 4] = (step + 1) % n_pass + 1
         except MultipleComponents as exc:
             raise NotAKnot("closure has more than one component") from exc
 
         tokens = []
-        for i in range(len(tuples)):
-            ccw = tuple(label[(i, s)] for s in range(4))
+        for i, over_pair in enumerate(self.over_pairs):
+            ccw = [label[i, s] for s in range(4)]
             # Rotate so the incoming end of the under-strand comes first.
-            under = (0, 2) if self.over_pairs[i] else (1, 3)
-            under_in = min(under, key=lambda s: 0 if _is_arrival(ccw, s, n_pass) else 1)
-            rot = ccw[under_in:] + ccw[:under_in]
-            tokens.append("X[{},{},{},{}]".format(*rot))
-        try:
-            return parse_pd(" ".join(tokens))
-        except MultipleComponents as exc:  # pragma: no cover - guarded above
-            raise NotAKnot(str(exc)) from exc
+            k = entry[i, 1 - over_pair]
+            tokens.append("X[{},{},{},{}]".format(*ccw[k:], *ccw[:k]))
+        return parse_pd(" ".join(tokens))
 
 
-def _is_arrival(ccw: tuple[int, int, int, int], slot: int, n_edges: int) -> bool:
-    """The strand through ``slot`` arrives there iff its mate holds the successor."""
-    e_here = ccw[slot]
-    e_other = ccw[(slot + 2) % 4]
-    return e_other == e_here % n_edges + 1
+def _twist_stack(rot: _Rotation, seq: list[int] | tuple[int, ...]) -> tuple[int, int, int, int]:
+    """Add a 2-string tangle of alternating twist regions to ``rot`` and
+    return its end arcs NW, NE, SW, SE.
 
-
-@dataclass
-class Tangle:
-    """A 2-string tangle under construction; boundary arcs run NW, NE, SW, SE."""
-
-    rot: _Rotation
-    nw: int
-    ne: int
-    sw: int
-    se: int
-
-
-def vertical_strands() -> Tangle:
-    """The infinity tangle: two vertical strands (NW-SW and NE-SE)."""
-    rot = _Rotation()
-    left = rot.new_arc()
-    right = rot.new_arc()
-    return Tangle(rot, nw=left, ne=right, sw=left, se=right)
-
-
-def twist_bottom(t: Tangle, n: int = 1) -> Tangle:
-    """Add n crossings between the two bottom ends."""
-    for _ in range(n):
-        a = t.rot.new_arc()
-        b = t.rot.new_arc()
-        # Crossing seen from above: LT=sw, RT=se, LB=a, RB=b; ccw from LT.
-        t.rot.add_crossing((t.sw, a, b, t.se), over_pair=0)
-        t.sw, t.se = a, b
-    return t
-
-
-def twist_right(t: Tangle, n: int = 1) -> Tangle:
-    """Add n crossings between the two right-hand ends."""
-    for _ in range(n):
-        a = t.rot.new_arc()  # new NE
-        b = t.rot.new_arc()  # new SE
-        # LT=ne, LB=se, RB=b, RT=a; ccw from LT.
-        t.rot.add_crossing((t.ne, t.se, b, a), over_pair=0)
-        t.ne, t.se = a, b
-    return t
-
-
-def tangle_sum(t1: Tangle, t2: Tangle) -> Tangle:
-    """Place t2 to the right of t1 and join the facing ends."""
-    offset = t1.rot._next_arc
-    rot = _Rotation(
-        crossings=list(t1.rot.crossings),
-        over_pairs=list(t1.rot.over_pairs),
-        _next_arc=t1.rot._next_arc + t2.rot._next_arc,
-        _merged=dict(t1.rot._merged),
-    )
-    for t, p in zip(t2.rot.crossings, t2.rot.over_pairs):
-        rot.add_crossing(tuple(e + offset for e in t), p)  # type: ignore[arg-type]
-    for a, b in t2.rot._merged.items():
-        rot.merge(a + offset, b + offset)
-    rot.merge(t1.ne, t2.nw + offset)
-    rot.merge(t1.se, t2.sw + offset)
-    return Tangle(rot, nw=t1.nw, ne=t2.ne + offset, sw=t1.sw, se=t2.se + offset)
-
-
-def closure_sides(t: Tangle) -> KnotDiagram:
-    """Close left and right: join NW-SW and NE-SE."""
-    t.rot.merge(t.nw, t.sw)
-    t.rot.merge(t.ne, t.se)
-    return t.rot.to_diagram()
-
-
-def closure_top_bottom(t: Tangle) -> KnotDiagram:
-    """Close top and bottom: join NW-NE and SW-SE (numerator closure)."""
-    t.rot.merge(t.nw, t.ne)
-    t.rot.merge(t.sw, t.se)
-    return t.rot.to_diagram()
-
-
-def twist_stack(seq: list[int] | tuple[int, ...]) -> Tangle:
-    """Alternating twist regions: odd positions twist the bottom ends,
-    even positions the right-hand ends. Every entry must be a positive
-    integer."""
+    The tangle starts as two vertical strands; odd positions twist the
+    bottom ends, even positions the right-hand ends. Every entry must be a
+    positive integer.
+    """
     if not seq:
         raise ValueError("twist sequence must be nonempty")
     if any(not isinstance(a, int) or a < 1 for a in seq):
         raise ValueError("twist entries must be positive integers")
-    t = vertical_strands()
-    for idx, a in enumerate(seq):
-        if idx % 2 == 0:
-            twist_bottom(t, a)
-        else:
-            twist_right(t, a)
-    return t
+    nw = sw = rot.new_arc()
+    ne = se = rot.new_arc()
+    for idx, n in enumerate(seq):
+        for _ in range(n):
+            a = rot.new_arc()
+            b = rot.new_arc()
+            if idx % 2 == 0:
+                # Seen from above: LT=sw, RT=se, LB=a, RB=b; ccw from LT.
+                rot.add_crossing((sw, a, b, se), over_pair=0)
+                sw, se = a, b
+            else:
+                # LT=ne, LB=se, RB=b, RT=a; ccw from LT.
+                rot.add_crossing((ne, se, b, a), over_pair=0)
+                ne, se = a, b
+    return nw, ne, sw, se
 
 
 def rational_diagram(seq: list[int] | tuple[int, ...]) -> KnotDiagram:
@@ -190,20 +121,32 @@ def rational_diagram(seq: list[int] | tuple[int, ...]) -> KnotDiagram:
     diagrams with c = sum(seq) crossings. Raises NotAKnot when the closure
     traces a two-component link (even-numerator fractions, e.g. T(2), T(4)).
     """
-    t = twist_stack(seq)
-    if len(seq) % 2 == 1:
-        return closure_sides(t)
-    return closure_top_bottom(t)
+    rot = _Rotation()
+    nw, ne, sw, se = _twist_stack(rot, seq)
+    if len(seq) % 2 == 1:  # close left and right
+        rot.merge(nw, sw)
+        rot.merge(ne, se)
+    else:  # close top and bottom
+        rot.merge(nw, ne)
+        rot.merge(sw, se)
+    return rot.to_diagram()
 
 
 def montesinos_diagram(*sequences: list[int] | tuple[int, ...]) -> KnotDiagram:
     """Numerator closure of a horizontal sum of twist-stack tangles."""
     if not sequences:
         raise ValueError("need at least one twist sequence")
-    total = twist_stack(sequences[0])
+    rot = _Rotation()
+    nw, ne, sw, se = _twist_stack(rot, sequences[0])
     for seq in sequences[1:]:
-        total = tangle_sum(total, twist_stack(seq))
-    return closure_top_bottom(total)
+        t_nw, t_ne, t_sw, t_se = _twist_stack(rot, seq)
+        # Place the new tangle to the right and join the facing ends.
+        rot.merge(ne, t_nw)
+        rot.merge(se, t_sw)
+        ne, se = t_ne, t_se
+    rot.merge(nw, ne)
+    rot.merge(sw, se)
+    return rot.to_diagram()
 
 
 def braid_closure(word: list[int] | tuple[int, ...], strands: int) -> KnotDiagram:

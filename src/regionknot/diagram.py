@@ -254,7 +254,7 @@ def parse_pd(text: str) -> KnotDiagram:
     return d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def faces(d: KnotDiagram) -> RegionMap:
     """Trace the regions of the underlying projection.
 

@@ -81,7 +81,7 @@ class RccMap:
         return tuple(frozenset(decode(k)) for k in span(self.kernel_basis))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def rcc_map(d: KnotDiagram) -> RccMap:
     rm = faces(d)
     m = region_choice_matrix(d, rm)

@@ -33,6 +33,9 @@ from .rcc import (
     solve_for_crossings,
 )
 
+# Cost limit of the 2^c state sum, not the edge of exactness: a trivial
+# Jones polynomial means the unknot up to 17 crossings (Dasbach-Hougardy
+# 1997) and up to 24 (Tuzun-Sikora 2021).
 JONES_GUARD = 14
 UR_GUARD = 10
 
@@ -91,7 +94,7 @@ _DELTA = LaurentPolynomial({2: -1, -2: -1})  # loop factor -A^2 - A^-2
 
 
 @lru_cache(maxsize=4096)
-def kauffman_bracket(d: KnotDiagram, max_crossings: int = JONES_GUARD) -> LaurentPolynomial:
+def kauffman_bracket(d: KnotDiagram) -> LaurentPolynomial:
     """Exact state-sum Kauffman bracket in the variable A.
 
     With slots counterclockwise from the incoming under-strand, the
@@ -102,8 +105,8 @@ def kauffman_bracket(d: KnotDiagram, max_crossings: int = JONES_GUARD) -> Lauren
     tallied by (A-smoothings, loops) before the polynomial is expanded.
     """
     c = d.n_crossings
-    if c > max_crossings:
-        raise TooManyCrossings(f"{c} crossings exceeds guard {max_crossings}")
+    if c > JONES_GUARD:
+        raise TooManyCrossings(f"{c} crossings exceeds guard {JONES_GUARD}")
     if c == 0:
         return LaurentPolynomial.one()
 
@@ -138,12 +141,12 @@ def kauffman_bracket(d: KnotDiagram, max_crossings: int = JONES_GUARD) -> Lauren
     return total
 
 
-def jones_normalized(d: KnotDiagram, max_crossings: int = JONES_GUARD) -> LaurentPolynomial:
+def jones_normalized(d: KnotDiagram) -> LaurentPolynomial:
     """Writhe-normalized bracket, written in the variable t.
 
     The unknot gives 1; a mirror image inverts the variable.
     """
-    bracket = kauffman_bracket(d, max_crossings)
+    bracket = kauffman_bracket(d)
     w = d.writhe
     normalized = bracket.scale((-1) ** (w % 2), -3 * w)
     terms: dict[int, int] = {}
@@ -154,9 +157,9 @@ def jones_normalized(d: KnotDiagram, max_crossings: int = JONES_GUARD) -> Lauren
     return LaurentPolynomial(terms, variable="t")
 
 
-def is_trivial(d: KnotDiagram, max_crossings: int = JONES_GUARD) -> bool:
+def is_trivial(d: KnotDiagram) -> bool:
     """Jones-polynomial triviality check (exact below the guard)."""
-    return jones_normalized(d, max_crossings).is_one()
+    return jones_normalized(d).is_one()
 
 
 def determinant(d: KnotDiagram) -> int:

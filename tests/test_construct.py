@@ -119,3 +119,48 @@ def test_add_kink_every_edge():
 def test_add_kink_bad_edge():
     with pytest.raises(ValueError):
         add_kink(TREFOIL, 9)
+
+
+# Edge labels, crossing order and slot rotation fix the region numbering and
+# solution order downstream, so constructor output is pinned literally.
+PINNED_CODES = [
+    (rational_diagram, ([3],), "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"),
+    (rational_diagram, ([2, 2],), "X[1,7,2,6] X[5,3,6,2] X[3,8,4,1] X[7,4,8,5]"),
+    (
+        rational_diagram,
+        ([2, 3, 1, 2],),
+        "X[1,8,2,9] X[9,2,10,3] X[3,16,4,1] X[15,4,16,5] X[5,14,6,15] "
+        "X[13,11,14,10] X[11,7,12,6] X[7,13,8,12]",
+    ),
+    (
+        montesinos_diagram,
+        ([3], [3], [2]),
+        "X[1,12,2,13] X[11,16,12,1] X[15,10,16,11] X[7,2,8,3] X[3,8,4,9] "
+        "X[9,4,10,5] X[13,7,14,6] X[5,15,6,14]",
+    ),
+    (
+        montesinos_diagram,
+        ([2, 1], [3], [1, 2]),
+        "X[1,10,2,11] X[11,2,12,3] X[3,18,4,1] X[15,4,16,5] X[5,16,6,17] "
+        "X[17,6,18,7] X[7,14,8,15] X[13,8,14,9] X[9,12,10,13]",
+    ),
+    (
+        braid_closure,
+        ([1, 2, 1, 2, 1, 2, 1, 2], 3),
+        "X[12,1,13,2] X[7,2,8,3] X[8,13,9,14] X[3,14,4,15] X[4,9,5,10] "
+        "X[15,10,16,11] X[16,5,1,6] X[11,6,12,7]",
+    ),
+    (braid_closure, ([1, -2, 1, -2], 3), "X[4,1,5,2] X[2,8,3,7] X[8,5,1,6] X[6,4,7,3]"),
+]
+
+
+def test_constructed_codes_are_pinned():
+    for build, args, code in PINNED_CODES:
+        assert build(*args).pd_code() == code, (build.__name__, args)
+
+
+def test_one_crossing_closures_are_kinks():
+    for d in (rational_diagram([1]), braid_closure([1], 2), braid_closure([-1], 2)):
+        assert parse_pd(d.pd_code()) == d
+        assert abs(d.writhe) == 1
+        assert jones_normalized(d).is_one()

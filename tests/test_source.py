@@ -20,3 +20,19 @@ def test_no_assert_statements():
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
     assert len(list(SRC.glob("*.py"))) >= 9  # the walk saw the package
+
+
+def test_caches_are_bounded():
+    # an unbounded cache keeps every distinct diagram a process has met
+    found = []
+    decorators = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    text = ast.unparse(dec).removeprefix("functools.")
+                    decorators.append(text)
+                    if text == "cache" or "maxsize=None" in text or text.startswith("lru_cache(None"):
+                        found.append(f"{path.name}:{dec.lineno}")
+    assert not found, found
+    assert "lru_cache(maxsize=256)" in decorators  # the walk saw the caches

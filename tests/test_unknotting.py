@@ -164,7 +164,7 @@ def test_trivial_after_bigon_rcc():
 
 def test_crossing_guard():
     with pytest.raises(TooManyCrossings):
-        kauffman_bracket(TREFOIL, max_crossings=2)
+        kauffman_bracket(rational_diagram([15]))  # guarded before any state is summed
     with pytest.raises(TooManyCrossings):
         region_unknotting_number(TREFOIL, max_crossings=2)
 
