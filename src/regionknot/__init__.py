@@ -58,6 +58,7 @@ from .gf2 import (
     invert_square,
     kernel,
     rank,
+    right_inverse,
     solve_affine,
 )
 from .polynomial import LaurentPolynomial

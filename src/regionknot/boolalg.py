@@ -111,8 +111,9 @@ class RestrictedAlgebra:
 def build_restricted(d: KnotDiagram, b: int, w: int) -> RestrictedAlgebra:
     """Set up the restricted algebra for the excluded pair (b black, w white).
 
-    Constructive: inverting the column-deleted square matrix both proves the
-    restricted effect map bijective and realizes its inverse.
+    Constructive: the black/white-pair inverse (``rcc._avoiding_inverse``,
+    read from the cached ``RccMap``) both proves the restricted effect map
+    bijective and realizes its inverse.
     """
     m = rcc_map(d)
     if not is_irreducible(d, m.region_map):

@@ -69,6 +69,17 @@ class KnotDiagram:
 
     crossings: tuple[Crossing, ...]
 
+    def __hash__(self) -> int:
+        # Hashed once per instance and kept outside the fields: every
+        # lru_cache lookup (faces, rcc_map, kauffman_bracket ...) hashes its
+        # diagram, and the dataclass hash walks every crossing each time.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.crossings,))  # the value the dataclass hash gives
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @property
     def n_crossings(self) -> int:
         return len(self.crossings)

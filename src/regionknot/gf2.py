@@ -117,6 +117,23 @@ def rank(m: Gf2Matrix) -> int:
     return len(_eliminate(list(m.row_bits), m.cols))
 
 
+def _kernel_basis(rows: list[int], pivots: list[int], cols: int) -> tuple[int, ...]:
+    """The null space basis read off eliminated rows: one vector per free
+    column f in ascending order, with bit f set and each pivot column whose
+    row has bit f."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        vec = 1 << f
+        for row_idx, col in enumerate(pivots):
+            if (rows[row_idx] >> f) & 1:
+                vec |= 1 << col
+        basis.append(vec)
+    return tuple(basis)
+
+
 def solve_affine(m: Gf2Matrix, b: int) -> tuple[int, tuple[int, ...]]:
     """Solve Mx = b, returning one particular solution and a kernel basis.
 
@@ -132,22 +149,32 @@ def solve_affine(m: Gf2Matrix, b: int) -> tuple[int, tuple[int, ...]]:
     pivots = _eliminate(rows, cols)
     if any(rows[len(pivots):]):  # a zero row left with a nonzero right-hand side
         raise Inconsistent("b is outside the column space")
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(cols) if c not in pivot_set]
 
     particular = 0
     for row_idx, col in enumerate(pivots):
         if rows[row_idx] >> cols:
             particular |= 1 << col
+    return particular, _kernel_basis(rows, pivots, cols)
 
-    basis = []
-    for f in free_cols:
-        vec = 1 << f
-        for row_idx, col in enumerate(pivots):
-            if (rows[row_idx] >> f) & 1:
-                vec |= 1 << col
-        basis.append(vec)
-    return particular, tuple(basis)
+
+def right_inverse(m: Gf2Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One elimination of [M | I] that answers every later ``solve_affine``.
+
+    Returns ``(rows, kernel_basis)``: ``rows`` has one int per column of M,
+    the identity block of that column's pivot row (0 for a free column), so
+    ``_mul_rows(rows, b)`` is the particular solution ``solve_affine(m, b)``
+    returns, and ``kernel_basis`` is the one it returns. Raises Inconsistent
+    unless M has full row rank, i.e. unless every b is solvable.
+    """
+    cols = m.cols
+    rows = [row | 1 << (cols + i) for i, row in enumerate(m.row_bits)]
+    pivots = _eliminate(rows, cols)
+    if len(pivots) < m.rows:
+        raise Inconsistent(f"rank {len(pivots)} is below the row count {m.rows}")
+    inverse = [0] * cols
+    for row_idx, col in enumerate(pivots):
+        inverse[col] = rows[row_idx] >> cols
+    return tuple(inverse), _kernel_basis(rows, pivots, cols)
 
 
 def kernel(m: Gf2Matrix) -> tuple[int, ...]:

@@ -30,13 +30,12 @@ from .diagram import (
 )
 from .gf2 import (
     Gf2Matrix,
+    Inconsistent,
+    Singular,
     _mul_rows,
     decode,
-    delete_columns,
     encode,
-    invert_square,
-    kernel,
-    solve_affine,
+    right_inverse,
     span,
 )
 
@@ -68,13 +67,22 @@ def region_choice_matrix(d: KnotDiagram, rm: RegionMap | None = None) -> Gf2Matr
 
 @dataclass(frozen=True)
 class RccMap:
-    """The RCC effect map of one diagram: matrix, coloring, cached kernel."""
+    """The RCC effect map of one diagram: matrix, coloring, and the one
+    elimination of the matrix every solve reads.
+
+    ``particular_rows`` has one crossing mask per region: the region set
+    ``solve_affine`` would return for a target t holds region r iff
+    ``particular_rows[r] & t`` has odd parity. Every solution for t is that
+    set XOR an element of ``span(kernel_basis)``, so each solve is an O(c)
+    product on these rows, with no further elimination.
+    """
 
     diagram: KnotDiagram
     region_map: RegionMap
     coloring: Coloring
     matrix: Gf2Matrix
     kernel_basis: tuple[int, ...]  # region masks
+    particular_rows: tuple[int, ...]  # crossing masks, one per region
 
     def kernel_elements(self) -> tuple[RegionSet, ...]:
         """All region sets with empty effect (a group of order 2^dim)."""
@@ -85,7 +93,11 @@ class RccMap:
 def rcc_map(d: KnotDiagram) -> RccMap:
     rm = faces(d)
     m = region_choice_matrix(d, rm)
-    return RccMap(d, rm, checkerboard(rm), m, kernel(m))
+    try:
+        rows, basis = right_inverse(m)
+    except Inconsistent as exc:  # the rank is c on every sphere knot diagram (Shimizu 2010)
+        raise NotPlanar(f"region choice matrix: {exc}") from None
+    return RccMap(d, rm, checkerboard(rm), m, basis, rows)
 
 
 def _region_set_key(s: RegionSet) -> tuple[int, list[int]]:
@@ -113,10 +125,10 @@ def solve_for_crossings(m: RccMap, target: CrossingSet) -> list[RegionSet]:
     Always solvable (the matrix is full rank); sorted in the canonical order
     (``_region_set_key``) so output is stable.
     """
-    particular, basis = solve_affine(m.matrix, encode(target, m.diagram.n_crossings))
-    if len(basis) != 2:  # the rank is c on every sphere diagram (Cheng-Gao 2012)
-        raise NotPlanar(f"region choice kernel has dimension {len(basis)}, not 2")
-    return sorted((frozenset(decode(particular ^ k)) for k in span(basis)), key=_region_set_key)
+    particular = _mul_rows(m.particular_rows, encode(target, m.diagram.n_crossings))
+    return sorted(
+        (frozenset(decode(particular ^ k)) for k in span(m.kernel_basis)), key=_region_set_key
+    )
 
 
 def bw_complements(col: Coloring, s: RegionSet) -> tuple[RegionSet, RegionSet, RegionSet]:
@@ -129,14 +141,38 @@ def _avoiding_inverse(m: RccMap, b: int, w: int) -> tuple[int, ...]:
     """The inverse of the matrix without columns b (black) and w (white),
     spread back to region indices: row r is zero for r in (b, w), and its
     bit i says whether the set avoiding b and w that changes exactly
-    crossing i holds region r. Invertible on every irreducible diagram; on
-    reducible ones Singular may propagate."""
+    crossing i holds region r.
+
+    No elimination: with kernel basis k1, k2 (dimension 2 since the rank is
+    c and there are c + 2 regions), the solutions for a target t are
+    p ^ s1*k1 ^ s2*k2 with p read from ``particular_rows``; the 2x2 system
+    that clears bits b and w fixes (s1, s2) as linear functions of t, so each
+    row is ``particular_rows[r]`` XORed with a fixed row wherever k1 or k2
+    holds r. The system is singular exactly when some nonzero kernel
+    element avoids both regions, which the kernel {0, B, W, B ^ W} of an
+    irreducible diagram never does (Cheng-Gao 2012); on reducible ones
+    Singular is raised.
+    """
     if b not in m.coloring.black or w not in m.coloring.white:
         raise NotBlackWhitePair(f"regions R{b + 1},R{w + 1} are not a black/white pair")
-    rows = iter(invert_square(delete_columns(m.matrix, {b, w})).row_bits)
-    return tuple(
-        0 if r in (b, w) else next(rows) for r in range(m.region_map.n_regions)
-    )
+    rows = m.particular_rows
+    k1, k2 = m.kernel_basis
+    # [[k1_b, k2_b], [k1_w, k2_w]] (s1, s2) = (p_b, p_w); over GF(2) the
+    # inverse of [[u, v], [x, y]] with determinant 1 is [[y, v], [x, u]].
+    u, v, x, y = (k1 >> b) & 1, (k2 >> b) & 1, (k1 >> w) & 1, (k2 >> w) & 1
+    if not (u & y) ^ (v & x):
+        raise Singular(
+            f"no unique solution avoiding R{b + 1},R{w + 1}: a nonzero kernel"
+            " element avoids both regions on this reducible diagram"
+        )
+    fix1 = (rows[b] if y else 0) ^ (rows[w] if v else 0)
+    fix2 = (rows[b] if x else 0) ^ (rows[w] if u else 0)
+    inverse = list(rows)
+    for k, fix in ((k1, fix1), (k2, fix2)):
+        for r in range(k.bit_length()):
+            if (k >> r) & 1:
+                inverse[r] ^= fix
+    return tuple(inverse)
 
 
 def solve_avoiding(m: RccMap, target: CrossingSet, b: int, w: int) -> RegionSet:

@@ -70,8 +70,7 @@ CALL_SITES = (
     ("cli", "boolalg", "verify_homomorphism"),
     ("cli", "unknotting", "region_unknotting_number"),
     ("cli", "unknotting", "small_unknotting_set"),
-    ("rcc", "gf2", "invert_square"),
-    ("rcc", "gf2", "solve_affine"),
+    ("rcc", "gf2", "right_inverse"),
     ("unknotting", "rcc", "phi"),
     ("unknotting", "rcc", "rcc_map"),
 )

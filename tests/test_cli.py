@@ -135,6 +135,15 @@ def test_avoid_same_region_twice_names_it_one_based(capsys):
     assert "(0, 0)" not in err
 
 
+def test_singular_avoid_names_the_regions(capsys):
+    # a double kink on the trefoil: a nonzero kernel element avoids R1 and R4
+    pd = "X[5,8,6,9] X[7,10,8,1] X[9,6,10,7] X[1,5,2,4] X[2,4,3,3]"
+    err = run_bad(capsys, "solve", "--pd", pd, "--crossings", "c1", "--avoid", "R1,R4")
+    assert err.startswith("regionknot: Singular:")
+    assert "R1,R4" in err and "reducible" in err
+    assert "column" not in err
+
+
 def test_pair_needs_two_regions(capsys):
     err = run_bad(capsys, "boolcheck", "--pd", TREFOIL, "--pair", "R1")
     assert "expected 2" in err

@@ -1,11 +1,14 @@
 """PD parsing, face tracing, coloring, and crossing changes."""
 
+import dataclasses
 import random
 
 import pytest
 
 from regionknot.diagram import (
+    Crossing,
     EdgeLabelNotTwice,
+    KnotDiagram,
     MalformedToken,
     MultipleComponents,
     NotPlanar,
@@ -17,6 +20,7 @@ from regionknot.diagram import (
     is_irreducible,
     parse_pd,
 )
+from regionknot.rcc import rcc_map
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 KINK = "X[1,1,2,2]"
@@ -181,3 +185,31 @@ def test_crossing_sign_flips_under_change():
     d = parse_pd(TREFOIL)
     assert d.writhe == -3
     assert apply_crossing_changes(d, {0, 1, 2}).writhe == 3
+
+
+def test_equal_diagrams_share_hash_and_cache_entries():
+    code = "X[1,6,2,7] X[3,8,4,9] X[5,10,6,1] X[7,2,8,3] X[9,4,10,5]"
+    d = parse_pd(code)
+    rcc_map(d)
+    again = parse_pd(code)  # equal, but a separate instance
+    assert again is not d and again == d and hash(again) == hash(d)
+    assert repr(again) == repr(d)
+    assert [f.name for f in dataclasses.fields(again)] == ["crossings"]
+    assert hash(d) == hash((d.crossings,))
+    hits = faces.cache_info().hits, rcc_map.cache_info().hits
+    assert faces(again) is faces(d)
+    assert rcc_map(again) is rcc_map(d)
+    assert faces.cache_info().hits - hits[0] == 2
+    assert rcc_map.cache_info().hits - hits[1] == 2
+
+
+def test_diagram_hashes_its_crossings_once(monkeypatch):
+    calls = []
+    crossing_hash = Crossing.__hash__
+    monkeypatch.setattr(Crossing, "__hash__", lambda x: calls.append(x) or crossing_hash(x))
+    d = KnotDiagram(parse_pd(TREFOIL).crossings)
+    calls.clear()
+    first = hash(d)
+    assert len(calls) == 3
+    assert all(hash(d) == first for _ in range(5))
+    assert len(calls) == 3

@@ -7,12 +7,14 @@ from regionknot.gf2 import (
     Gf2Matrix,
     Inconsistent,
     Singular,
+    _mul_rows,
     decode,
     delete_columns,
     encode,
     invert_square,
     kernel,
     rank,
+    right_inverse,
     solve_affine,
     span,
 )
@@ -163,6 +165,18 @@ def test_solutions_satisfy_system(m, seed):
     for k in span(basis):
         assert m.mul_vec(particular ^ k) == b
     assert len(basis) == m.cols - rank(m)
+
+
+@given(matrices())
+def test_right_inverse_answers_every_solve(m):
+    try:
+        rows, basis = right_inverse(m)
+    except Inconsistent:
+        assert rank(m) < m.rows
+        return
+    assert len(rows) == m.cols
+    for b in range(1 << m.rows):
+        assert solve_affine(m, b) == (_mul_rows(rows, b), basis)
 
 
 @given(matrices())

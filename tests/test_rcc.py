@@ -6,11 +6,31 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from regionknot import gf2
+from regionknot.boolalg import build_restricted
 from regionknot.construct import NotAKnot, add_kink, rational_diagram
-from regionknot.diagram import ReducibleDiagram, faces, is_irreducible, parse_pd
-from regionknot.gf2 import Singular, rank
+from regionknot.diagram import (
+    Crossing,
+    KnotDiagram,
+    NotPlanar,
+    ReducibleDiagram,
+    faces,
+    is_irreducible,
+    parse_pd,
+)
+from regionknot.gf2 import (
+    Singular,
+    decode,
+    delete_columns,
+    encode,
+    invert_square,
+    rank,
+    solve_affine,
+    span,
+)
 from regionknot.rcc import (
     NotBlackWhitePair,
+    _avoiding_inverse,
     _region_set_key,
     apply_rcc,
     bw_complements,
@@ -58,6 +78,15 @@ def test_rank_full_and_kernel_dim_two():
         assert rank(m.matrix) == d.n_crossings
         assert len(m.kernel_basis) == 2
         assert len(m.kernel_elements()) == 4
+
+
+def test_rank_deficient_matrix_is_rejected():
+    # two crossings with sphere faces whose matrix has rank 1; parse_pd
+    # never yields it (the code is not one closed curve), a direct
+    # construction does
+    d = KnotDiagram((Crossing((3, 1, 2, 4), 1), Crossing((2, 1, 3, 4), 3)))
+    with pytest.raises(NotPlanar, match="rank 1 is below the row count 2"):
+        rcc_map(d)
 
 
 def test_phi_empty_set():
@@ -249,8 +278,6 @@ def test_solve_avoiding_singular_on_kinked_trefoil():
 
 
 def test_kinked_trefoil_two_region_avoidance_fails_somewhere():
-    from regionknot.gf2 import delete_columns, invert_square
-
     d = add_kink(TREFOIL, 1)
     m = rcc_map(d)
     n = m.region_map.n_regions
@@ -353,3 +380,57 @@ def test_rcc_layer_on_random_rational_knots(d, rng):
     s = solve_avoiding(m, target, b, w)
     assert b not in s and w not in s
     assert phi_bruteforce(rm, s) == target
+
+
+@st.composite
+def kinked_rational_knots(draw):
+    """Rational knot diagrams with up to two kinks added (reducible ones)."""
+    seq = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4).filter(lambda q: sum(q) <= 14))
+    try:
+        d = rational_diagram(seq)
+    except NotAKnot:
+        assume(False)
+    for _ in range(draw(st.integers(0, 2))):
+        d = add_kink(d, draw(st.integers(1, d.n_edges)))
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinked_rational_knots(), st.randoms(use_true_random=False))
+def test_cached_solves_match_elimination_references(d, rng):
+    m = rcc_map(d)
+    c, n = d.n_crossings, m.region_map.n_regions
+    for _ in range(3):
+        target = frozenset(i for i in range(c) if rng.random() < 0.5)
+        particular, basis = solve_affine(m.matrix, encode(target, c))
+        expected = sorted(
+            (frozenset(decode(particular ^ k)) for k in span(basis)), key=_region_set_key
+        )
+        assert solve_for_crossings(m, target) == expected
+
+    for b in sorted(m.coloring.black):
+        for w in sorted(m.coloring.white):
+            try:
+                rows = iter(invert_square(delete_columns(m.matrix, {b, w})).row_bits)
+            except Singular:
+                with pytest.raises(Singular):
+                    _avoiding_inverse(m, b, w)
+                continue
+            expected = tuple(0 if r in (b, w) else next(rows) for r in range(n))
+            assert _avoiding_inverse(m, b, w) == expected
+
+
+def test_warm_solves_run_no_elimination(monkeypatch):
+    d = rational_diagram([2, 3, 1, 2])
+    m = rcc_map(d)
+    b, w = min(m.coloring.black), min(m.coloring.white)
+    calls = []
+    eliminate = gf2._eliminate
+    monkeypatch.setattr(gf2, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+    for i in range(100):
+        x = i % d.n_crossings
+        solve_for_crossings(m, frozenset({x}))
+        solve_avoiding(m, frozenset({x}), b, w)
+        splice_solution(d, x)
+        build_restricted(d, b, w)
+    assert calls == []
