@@ -8,7 +8,6 @@ verify the Boolean-algebra structure of the RCC effect map.
 
 from .boolalg import (
     AxiomReport,
-    PowerSetAlgebra,
     RestrictedAlgebra,
     black_white_pairs,
     build_restricted,
@@ -54,12 +53,8 @@ from .gf2 import (
     Gf2Matrix,
     Inconsistent,
     Singular,
-    delete_columns,
-    invert_square,
-    kernel,
     rank,
     right_inverse,
-    solve_affine,
 )
 from .polynomial import LaurentPolynomial
 from .rcc import (
@@ -70,24 +65,31 @@ from .rcc import (
     RegionSet,
     apply_rcc,
     bw_complements,
-    incidence_discrepancies,
     phi,
-    phi_bruteforce,
     rcc_map,
     region_choice_matrix,
     solve_avoiding,
     solve_for_crossings,
     splice_solution,
 )
+from .reference import (
+    PowerSetAlgebra,
+    delete_columns,
+    determinant,
+    incidence_discrepancies,
+    invert_square,
+    is_trivial,
+    kernel,
+    phi_bruteforce,
+    solve_affine,
+)
 from .unknotting import (
     EquilibriumReport,
     TooManyCrossings,
     UnknottingCertificate,
     bw_complement_bound,
-    determinant,
     equilibrium,
     is_monotone,
-    is_trivial,
     jones_normalized,
     kauffman_bracket,
     monotone_target,

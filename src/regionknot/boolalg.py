@@ -128,32 +128,6 @@ def build_restricted(d: KnotDiagram, b: int, w: int) -> RestrictedAlgebra:
     )
 
 
-class PowerSetAlgebra:
-    """Plain power set with union/intersection, for comparison checks;
-    elements are int masks, bit u standing for member u of the universe."""
-
-    bottom = 0
-
-    def __init__(self, universe: frozenset[int]):
-        self.top = sum(1 << u for u in set(universe))
-        self.size = 1 << self.top.bit_count()
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
-    def meet(self, a: int, b: int) -> int:
-        return a & b
-
-    def complement(self, a: int) -> int:
-        return self.top ^ a
-
-    def leq(self, a: int, b: int) -> bool:
-        return a & b == a
-
-    def elements(self):
-        return _submasks(self.top)
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     ok: bool

@@ -7,7 +7,7 @@ import json
 import os
 import sys
 import time
-from typing import Any
+from typing import Any, Iterable
 
 from . import __version__
 from .boolalg import (
@@ -74,7 +74,7 @@ def _parse_names(text: str, prefix: str, count: int, length: int | None = None) 
     return out
 
 
-def cmd_regions(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_regions(args: argparse.Namespace) -> list[dict[str, Any]]:
     payload = _regions_payload(rcc_map(parse_pd(args.pd)))
     print(
         f"crossings={payload['crossings']} regions={payload['regions']} "
@@ -82,10 +82,10 @@ def cmd_regions(args: argparse.Namespace) -> dict[str, Any]:
         f"|W|={payload['white']} parity="
         f"{'even/even' if payload['black_even'] and payload['white_even'] else 'mixed'}"
     )
-    return payload
+    return [payload]
 
 
-def cmd_solve(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_solve(args: argparse.Namespace) -> list[dict[str, Any]]:
     d = parse_pd(args.pd)
     m = rcc_map(d)
     target = frozenset(_parse_names(args.crossings, "c", d.n_crossings))
@@ -103,10 +103,10 @@ def cmd_solve(args: argparse.Namespace) -> dict[str, Any]:
         for i, s in enumerate(sols):
             marker = "  <- minimum" if i == 0 else ""
             print(f"solution {i + 1}: {{{', '.join(_region_names(s))}}}{marker}")
-    return payload
+    return [payload]
 
 
-def cmd_splice(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_splice(args: argparse.Namespace) -> list[dict[str, Any]]:
     d = parse_pd(args.pd)
     m = rcc_map(d)
     (x,) = _parse_names(args.crossing, "c", d.n_crossings, 1)
@@ -117,11 +117,11 @@ def cmd_splice(args: argparse.Namespace) -> dict[str, Any]:
         f"splice at c{x + 1}: {{{', '.join(_region_names(s))}}} "
         f"(matches linear solve: {agrees})"
     )
-    return {
+    return [{
         "crossing": f"c{x + 1}",
         "region_set": _region_names(s),
         "matches_solve": agrees,
-    }
+    }]
 
 
 def _certificate_payload(cert) -> dict[str, Any]:
@@ -138,7 +138,7 @@ def _certificate_payload(cert) -> dict[str, Any]:
     }
 
 
-def cmd_ur(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_ur(args: argparse.Namespace) -> list[dict[str, Any]]:
     d = parse_pd(args.pd)
     ur, cert = region_unknotting_number(d, max_crossings=args.max_crossings)
     payload = {"ur": ur, "certificate": _certificate_payload(cert)}
@@ -147,10 +147,10 @@ def cmd_ur(args: argparse.Namespace) -> dict[str, Any]:
         f"<=(c+2)/2: {'yes' if cert.meets_weak_bound else 'NO'}; "
         f"<=(c+1)/2: {'yes' if cert.meets_strong_bound else 'NO'}"
     )
-    return payload
+    return [payload]
 
 
-def cmd_certify(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_certify(args: argparse.Namespace) -> list[dict[str, Any]]:
     d = parse_pd(args.pd)
     cert = small_unknotting_set(d)
     payload = _certificate_payload(cert)
@@ -159,10 +159,10 @@ def cmd_certify(args: argparse.Namespace) -> dict[str, Any]:
         f"shift(s): {{{', '.join(_region_names(cert.regions))}}}; unknots: "
         f"{cert.trivializes}; <=(c+1)/2: {'yes' if cert.meets_strong_bound else 'NO'}"
     )
-    return payload
+    return [payload]
 
 
-def cmd_boolcheck(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_boolcheck(args: argparse.Namespace) -> list[dict[str, Any]]:
     d = parse_pd(args.pd)
     if args.pair:
         pairs = [_parse_names(args.pair, "R", d.n_crossings + 2, 2)]
@@ -189,7 +189,7 @@ def cmd_boolcheck(args: argparse.Namespace) -> dict[str, Any]:
         ok = ok and axioms.ok and homo.ok and (order is None or order.ok)
         results.append(entry)
     print(f"checked {len(pairs)} excluded pair(s): {'all ok' if ok else 'VIOLATIONS'}")
-    return {"pairs_checked": len(pairs), "all_ok": ok, "details": results}
+    return [{"pairs_checked": len(pairs), "all_ok": ok, "details": results}]
 
 
 def _catalog_entries(args: argparse.Namespace) -> list[CatalogEntry]:
@@ -199,9 +199,9 @@ def _catalog_entries(args: argparse.Namespace) -> list[CatalogEntry]:
     return bundled_catalog()
 
 
-def cmd_catalog(args: argparse.Namespace) -> list[dict[str, Any]]:
+def cmd_catalog(args: argparse.Namespace) -> Iterable[dict[str, Any]]:
+    """One record per catalog entry, yielded as soon as its row is printed."""
     entries = _catalog_entries(args)
-    records = []
     header = (
         f"{'name':8} {'c':>2} {'reg':>3} {'|B|':>3} {'|W|':>3} {'rank':>4} "
         f"{'u_R':>3} {'cert':>4} {'k':>2} {'splice':>6} {'bool':>5} {'bounds':>6}"
@@ -237,7 +237,6 @@ def cmd_catalog(args: argparse.Namespace) -> list[dict[str, Any]]:
             and verify_homomorphism(alg, sample=200).ok
         )
         payload["elapsed_ms"] = round(1000 * (time.monotonic() - t0), 2)
-        records.append(payload)
         bounds = {True: "yes", False: "NO", None: "-"}[payload["bounds_ok"]]
         print(
             f"{e.name:8} {payload['crossings']:>2} {payload['regions']:>3} "
@@ -246,7 +245,7 @@ def cmd_catalog(args: argparse.Namespace) -> list[dict[str, Any]]:
             f"{'ok' if splice_ok else 'BAD':>6} "
             f"{'ok' if payload['bool_ok'] else 'BAD':>5} {bounds:>6}"
         )
-    return records
+        yield payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,27 +298,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_record(args: argparse.Namespace, rec: dict[str, Any], elapsed_ms: float) -> None:
+    """Append one JSON line; ``elapsed_ms`` fills in only where the command
+    timed nothing itself."""
+    if "command" not in rec:
+        rec = {"command": args.command, **rec}
+    rec.setdefault("elapsed_ms", elapsed_ms)
+    if hasattr(args, "pd"):
+        rec.setdefault("pd", args.pd)
+    with open(args.records, "a") as fh:
+        fh.write(json.dumps(rec) + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
-        result = args.fn(args)
+        # each record reaches the file as soon as the command produces it,
+        # so the ones before a failing entry survive the failure
+        for rec in args.fn(args):
+            if args.records:
+                _write_record(args, rec, round(1000 * (time.monotonic() - t0), 2))
     except ValueError as exc:
         if type(exc).__module__ == "builtins":  # untyped: a fault, not bad input
             raise
         print(f"regionknot: {type(exc).__name__}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None  # the status argparse gives bad usage
-    elapsed = round(1000 * (time.monotonic() - t0), 2)
-    if args.records:
-        records = result if isinstance(result, list) else [result]
-        with open(args.records, "a") as fh:
-            for rec in records:
-                if "command" not in rec:
-                    rec = {"command": args.command, **rec}
-                rec.setdefault("elapsed_ms", elapsed)
-                if hasattr(args, "pd"):
-                    rec.setdefault("pd", args.pd)
-                fh.write(json.dumps(rec) + "\n")
     return 0
 
 

@@ -4,6 +4,11 @@ Vectors and matrix rows are Python ints; bit i is coordinate/column i.
 Everything here runs at knot-diagram scale (a few dozen columns), so plain
 Gaussian elimination with a fixed leftmost-pivot rule is used throughout to
 keep results reproducible across runs.
+
+This is the linear algebra the runtime needs: rank, and one elimination of
+[M | I] per matrix (``right_inverse``) that answers every right-hand side.
+The per-system solve, kernel, column deletion and square inversion that it
+is tested against live in ``reference``.
 """
 
 from __future__ import annotations
@@ -134,36 +139,14 @@ def _kernel_basis(rows: list[int], pivots: list[int], cols: int) -> tuple[int, .
     return tuple(basis)
 
 
-def solve_affine(m: Gf2Matrix, b: int) -> tuple[int, tuple[int, ...]]:
-    """Solve Mx = b, returning one particular solution and a kernel basis.
-
-    The full solution set is the particular solution XOR each element of
-    ``span(kernel_basis)``. Deterministic: pivots are leftmost, free
-    variables are taken in ascending column order and set to 0 in the
-    particular solution.
-    """
-    if b >> m.rows:
-        raise ValueError("right-hand side wider than the row count")
-    cols = m.cols
-    rows = [row | ((b >> i) & 1) << cols for i, row in enumerate(m.row_bits)]
-    pivots = _eliminate(rows, cols)
-    if any(rows[len(pivots):]):  # a zero row left with a nonzero right-hand side
-        raise Inconsistent("b is outside the column space")
-
-    particular = 0
-    for row_idx, col in enumerate(pivots):
-        if rows[row_idx] >> cols:
-            particular |= 1 << col
-    return particular, _kernel_basis(rows, pivots, cols)
-
-
 def right_inverse(m: Gf2Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One elimination of [M | I] that answers every later ``solve_affine``.
+    """One elimination of [M | I] that answers every later Mx = b.
 
     Returns ``(rows, kernel_basis)``: ``rows`` has one int per column of M,
     the identity block of that column's pivot row (0 for a free column), so
-    ``_mul_rows(rows, b)`` is the particular solution ``solve_affine(m, b)``
-    returns, and ``kernel_basis`` is the one it returns. Raises Inconsistent
+    ``_mul_rows(rows, b)`` is the particular solution with leftmost pivots
+    and every free variable 0 (``reference.solve_affine``), and every
+    solution is it XOR an element of ``span(kernel_basis)``. Raises Inconsistent
     unless M has full row rank, i.e. unless every b is solvable.
     """
     cols = m.cols
@@ -175,37 +158,3 @@ def right_inverse(m: Gf2Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for row_idx, col in enumerate(pivots):
         inverse[col] = rows[row_idx] >> cols
     return tuple(inverse), _kernel_basis(rows, pivots, cols)
-
-
-def kernel(m: Gf2Matrix) -> tuple[int, ...]:
-    """Basis of the null space {x : Mx = 0}."""
-    return solve_affine(m, 0)[1]
-
-
-def delete_columns(m: Gf2Matrix, cols: Iterable[int]) -> Gf2Matrix:
-    """Drop the given columns, compacting the remainder in order."""
-    drop = set(cols)
-    for c in drop:
-        if not 0 <= c < m.cols:
-            raise ValueError(f"column {c} out of range")
-    keep = [c for c in range(m.cols) if c not in drop]
-    new_rows = []
-    for row in m.row_bits:
-        bits = 0
-        for j, c in enumerate(keep):
-            bits |= ((row >> c) & 1) << j
-        new_rows.append(bits)
-    return Gf2Matrix(m.rows, len(keep), tuple(new_rows))
-
-
-def invert_square(m: Gf2Matrix) -> Gf2Matrix:
-    """Inverse of a square matrix; raises Singular if rank-deficient."""
-    if m.rows != m.cols:
-        raise ValueError("matrix is not square")
-    n = m.rows
-    rows = [row | 1 << (n + i) for i, row in enumerate(m.row_bits)]
-    pivots = _eliminate(rows, n)
-    if len(pivots) < n:
-        col = next(c for c, p in enumerate(pivots + [n]) if c != p)
-        raise Singular(f"no pivot in column {col}")
-    return Gf2Matrix(n, n, tuple(row >> n for row in rows))

@@ -26,15 +26,8 @@ class LaurentPolynomial:
     def one(cls, variable: str = "A") -> LaurentPolynomial:
         return cls({0: 1}, variable)
 
-    @classmethod
-    def term(cls, coeff: int, exp: int, variable: str = "A") -> LaurentPolynomial:
-        return cls({exp: coeff}, variable)
-
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._terms.items()))
-
-    def coeff(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -56,12 +49,6 @@ class LaurentPolynomial:
         for e, c in other._terms.items():
             out[e] = out.get(e, 0) + c
         return LaurentPolynomial(out, self.variable)
-
-    def __neg__(self) -> LaurentPolynomial:
-        return LaurentPolynomial({e: -c for e, c in self._terms.items()}, self.variable)
-
-    def __sub__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        return self + (-other)
 
     def __mul__(self, other: LaurentPolynomial) -> LaurentPolynomial:
         out: dict[int, int] = {}

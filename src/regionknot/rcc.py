@@ -4,11 +4,9 @@ A region crossing change (RCC) at a region flips every crossing on that
 region's boundary. Over GF(2) the effect of a set of regions is linear, so
 prescribing a set of crossings to change reduces to solving Mx = b with the
 region choice matrix M: the c x (c+2) crossing/region incidence matrix.
-
-Matrix entries are incidence (a crossing bordering a region twice still
-contributes a single 1). On irreducible diagrams that coincides with
-toggling corner-by-corner; on reducible ones it may not, and
-``incidence_discrepancies`` surfaces exactly where.
+``rcc_map`` eliminates M once per diagram, and every solve here reads those
+cached rows. The slow references they are tested against (corner-by-corner
+toggling, elimination per system) live in ``reference``.
 """
 
 from __future__ import annotations
@@ -70,8 +68,8 @@ class RccMap:
     """The RCC effect map of one diagram: matrix, coloring, and the one
     elimination of the matrix every solve reads.
 
-    ``particular_rows`` has one crossing mask per region: the region set
-    ``solve_affine`` would return for a target t holds region r iff
+    ``particular_rows`` has one crossing mask per region: the particular
+    solution for a target t (``gf2.right_inverse``) holds region r iff
     ``particular_rows[r] & t`` has odd parity. Every solution for t is that
     set XOR an element of ``span(kernel_basis)``, so each solve is an O(c)
     product on these rows, with no further elimination.
@@ -217,29 +215,3 @@ def splice_solution(d: KnotDiagram, x: int) -> RegionSet:
     if phi(m, result) != frozenset({x}):
         raise ProofContractViolated("splice construction failed to isolate the crossing")
     return result
-
-
-def phi_bruteforce(rm: RegionMap, s: RegionSet) -> CrossingSet:
-    """Direct simulation, toggling once per corner (multiplicity counts).
-
-    Agrees with the matrix map on irreducible diagrams; see
-    ``incidence_discrepancies`` for where the two readings part ways.
-    """
-    toggles = [0] * rm.n_crossings
-    for r in s:
-        for i, k in rm.regions[r]:
-            toggles[i] ^= 1
-    return frozenset(i for i, t in enumerate(toggles) if t)
-
-
-def incidence_discrepancies(rm: RegionMap) -> list[tuple[int, int, int]]:
-    """(crossing, region, multiplicity) wherever a region meets a crossing
-    more than once; these are the spots where incidence and
-    multiplicity-counting disagree."""
-    out = []
-    for i in range(rm.n_crossings):
-        for r in set(rm.incident_regions(i)):
-            mult = rm.multiplicity(i, r)
-            if mult > 1:
-                out.append((i, r, mult))
-    return out

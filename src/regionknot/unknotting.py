@@ -157,16 +157,6 @@ def jones_normalized(d: KnotDiagram) -> LaurentPolynomial:
     return LaurentPolynomial(terms, variable="t")
 
 
-def is_trivial(d: KnotDiagram) -> bool:
-    """Jones-polynomial triviality check (exact below the guard)."""
-    return jones_normalized(d).is_one()
-
-
-def determinant(d: KnotDiagram) -> int:
-    """|V(-1)|, the knot determinant."""
-    return abs(jones_normalized(d).evaluate(-1))
-
-
 def equilibrium(s: frozenset[int], col: Coloring) -> EquilibriumReport:
     """Count how the region set meets each color class."""
     return EquilibriumReport(

@@ -25,14 +25,14 @@ from regionknot.diagram import (
     is_irreducible,
     parse_pd,
 )
-from regionknot.gf2 import Singular, delete_columns, invert_square, rank
+from regionknot.gf2 import Singular, rank
 from regionknot.rcc import (
     phi,
-    phi_bruteforce,
     rcc_map,
     solve_for_crossings,
     splice_solution,
 )
+from regionknot.reference import delete_columns, invert_square, phi_bruteforce
 from regionknot.unknotting import (
     equilibrium,
     jones_normalized,

@@ -26,8 +26,6 @@ TRACED = (
     "cli.main",
     "diagram.faces",
     "diagram.parse_pd",
-    "gf2.invert_square",
-    "gf2.solve_affine",
     "rcc.phi",
     "rcc.rcc_map",
     "rcc.solve_avoiding",

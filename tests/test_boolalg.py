@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from regionknot.boolalg import (
-    PowerSetAlgebra,
     black_white_pairs,
     build_restricted,
     verify_axioms,
@@ -16,7 +15,8 @@ from regionknot.boolalg import (
 from regionknot.catalog import bundled_diagram
 from regionknot.construct import add_kink, rational_diagram
 from regionknot.diagram import ReducibleDiagram, faces, parse_pd
-from regionknot.rcc import NotBlackWhitePair, phi, phi_bruteforce, rcc_map
+from regionknot.rcc import NotBlackWhitePair, phi, rcc_map
+from regionknot.reference import PowerSetAlgebra, phi_bruteforce
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 

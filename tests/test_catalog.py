@@ -11,7 +11,8 @@ import pytest
 
 from regionknot.catalog import bundled_catalog, bundled_diagram, parse_catalog
 from regionknot.diagram import edge_arrivals, is_irreducible
-from regionknot.unknotting import determinant, jones_normalized
+from regionknot.reference import determinant
+from regionknot.unknotting import jones_normalized
 
 DETERMINANTS = {
     "3_1": 3, "4_1": 5, "5_1": 5, "5_2": 7,

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from regionknot.catalog import bundled_catalog
 from regionknot.cli import main
+from regionknot.construct import add_kink
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 # rational_diagram([2, 3, 4, 2]): irreducible, 11 crossings, above UR_GUARD
@@ -211,6 +213,20 @@ def test_catalog_above_ur_guard(tmp_path, capsys):
     assert rec["bounds_ok"] is None
     row = out.strip().splitlines()[-1].split()
     assert row[0] == "11_rational" and row[6] == "-" and row[-1] == "-"
+
+
+def test_catalog_records_survive_a_failing_entry(tmp_path, capsys):
+    trefoil = bundled_catalog()[0]
+    kinked = add_kink(trefoil.diagram, 1)  # reducible: the certificate search refuses it
+    cat = tmp_path / "kinked.txt"
+    cat.write_text(f"{trefoil.name}\t{trefoil.pd}\nkinked\t{kinked.pd_code()}\n")
+    records = tmp_path / "records.jsonl"
+    err = run_bad(capsys, "--records", str(records), "catalog", "--path", str(cat))
+    assert err.startswith("regionknot: ReducibleDiagram:")
+    (line,) = records.read_text().splitlines()
+    rec = json.loads(line)
+    del rec["elapsed_ms"]
+    assert json.dumps(rec) == GOLDEN_CATALOG.read_text().splitlines()[0]
 
 
 def test_console_entry_point():

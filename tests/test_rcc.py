@@ -18,30 +18,26 @@ from regionknot.diagram import (
     is_irreducible,
     parse_pd,
 )
-from regionknot.gf2 import (
-    Singular,
-    decode,
-    delete_columns,
-    encode,
-    invert_square,
-    rank,
-    solve_affine,
-    span,
-)
+from regionknot.gf2 import Singular, decode, encode, rank, span
 from regionknot.rcc import (
     NotBlackWhitePair,
     _avoiding_inverse,
     _region_set_key,
     apply_rcc,
     bw_complements,
-    incidence_discrepancies,
     phi,
-    phi_bruteforce,
     rcc_map,
     region_choice_matrix,
     solve_avoiding,
     solve_for_crossings,
     splice_solution,
+)
+from regionknot.reference import (
+    delete_columns,
+    incidence_discrepancies,
+    invert_square,
+    phi_bruteforce,
+    solve_affine,
 )
 from regionknot.unknotting import jones_normalized
 

@@ -36,3 +36,30 @@ def test_caches_are_bounded():
                         found.append(f"{path.name}:{dec.lineno}")
     assert not found, found
     assert "lru_cache(maxsize=256)" in decorators  # the walk saw the caches
+
+
+def _reference_imports(tree: ast.AST) -> list[int]:
+    """Lines of ``tree`` that import the ``reference`` module or a name
+    from it, relatively or absolutely."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            dotted = [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+        else:
+            continue
+        if any("reference" in name.split(".") for name in dotted):
+            found.append(node.lineno)
+    return found
+
+
+def test_runtime_never_imports_reference():
+    # the slow references check the runtime; they must never become part of it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            found += [f"{path.name}:{n}" for n in _reference_imports(ast.parse(path.read_text()))]
+    assert not found, found
+    assert _reference_imports(ast.parse((SRC / "__init__.py").read_text()))  # the walk sees imports

@@ -17,13 +17,12 @@ from regionknot.diagram import (
 )
 from regionknot.polynomial import LaurentPolynomial
 from regionknot.rcc import apply_rcc, phi, rcc_map, solve_for_crossings
+from regionknot.reference import determinant, is_trivial
 from regionknot.unknotting import (
     TooManyCrossings,
     bw_complement_bound,
-    determinant,
     equilibrium,
     is_monotone,
-    is_trivial,
     jones_normalized,
     kauffman_bracket,
     monotone_target,
