@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .diagram import (
     EdgeLabelNotTwice,
@@ -21,8 +21,7 @@ class MalformedCatalog(ValueError):
     sphere diagram."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     pd: str
     diagram: KnotDiagram

@@ -10,8 +10,6 @@ same validation as text input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagram import (
     KnotDiagram,
     MultipleComponents,
@@ -26,14 +24,14 @@ class NotAKnot(ValueError):
     """The closure traced more than one component."""
 
 
-@dataclass
 class _Rotation:
     """Crossing tuples over arc ids; over_pair 0 means slots {0,2} run over."""
 
-    crossings: list[tuple[int, int, int, int]] = field(default_factory=list)
-    over_pairs: list[int] = field(default_factory=list)
-    _next_arc: int = 0
-    _merged: dict[int, int] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.crossings: list[tuple[int, int, int, int]] = []
+        self.over_pairs: list[int] = []
+        self._next_arc = 0
+        self._merged: dict[int, int] = {}
 
     def new_arc(self) -> int:
         self._next_arc += 1

@@ -11,9 +11,8 @@ Everything lives on the sphere: no region is distinguished as "outer".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class MalformedToken(ValueError):
@@ -40,8 +39,12 @@ class ReducibleDiagram(ValueError):
     """Operation requires every crossing to touch four distinct regions."""
 
 
-@dataclass(frozen=True)
-class Crossing:
+class _CrossingFields(NamedTuple):
+    edges: tuple[int, int, int, int]
+    over_in: int
+
+
+class Crossing(_CrossingFields):
     """One crossing: edges counterclockwise from the incoming under-strand.
 
     Positions 0 and 2 carry the under-strand (in, out); positions 1 and 3
@@ -50,12 +53,12 @@ class Crossing:
     one-crossing diagrams.
     """
 
-    edges: tuple[int, int, int, int]
-    over_in: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.over_in not in (1, 3):
+    def __new__(cls, edges: tuple[int, int, int, int], over_in: int) -> Crossing:
+        if over_in not in (1, 3):
             raise ValueError("over_in must be slot 1 or 3")
+        return super().__new__(cls, edges, over_in)
 
     @property
     def sign(self) -> int:
@@ -63,22 +66,35 @@ class Crossing:
         return 1 if self.over_in == 3 else -1
 
 
-@dataclass(frozen=True)
 class KnotDiagram:
-    """A single-component knot diagram; the empty tuple is the round unknot."""
+    """A single-component knot diagram; the empty tuple is the round unknot.
 
-    crossings: tuple[Crossing, ...]
+    Two diagrams are equal when their crossings are; a diagram never equals
+    a tuple or any other type.
+    """
+
+    __slots__ = ("crossings", "_hash")
+
+    def __init__(self, crossings: tuple[Crossing, ...]) -> None:
+        self.crossings = crossings
+        self._hash: int | None = None
+
+    def __repr__(self) -> str:
+        return f"KnotDiagram(crossings={self.crossings!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KnotDiagram):
+            return NotImplemented
+        return self.crossings == other.crossings
 
     def __hash__(self) -> int:
-        # Hashed once per instance and kept outside the fields: every
-        # lru_cache lookup (faces, rcc_map, kauffman_bracket ...) hashes its
-        # diagram, and the dataclass hash walks every crossing each time.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.crossings,))  # the value the dataclass hash gives
-            object.__setattr__(self, "_hash", h)
-            return h
+        # Hashed once per instance: every lru_cache lookup (faces, rcc_map,
+        # kauffman_bracket ...) hashes its diagram, and hashing the crossings
+        # walks every one of them.
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.crossings,))
+        return h
 
     @property
     def n_crossings(self) -> int:
@@ -102,15 +118,13 @@ class KnotDiagram:
         )
 
 
-@dataclass(frozen=True)
-class Basepoint:
+class Basepoint(NamedTuple):
     """A basepoint on ``edge``, sitting just before the crossing the edge enters."""
 
     edge: int
 
 
-@dataclass(frozen=True)
-class RegionMap:
+class RegionMap(NamedTuple):
     """The faces of the underlying projection, in canonical discovery order.
 
     Each region is a cyclic tuple of corners; a corner (i, k) is the sector of
@@ -140,8 +154,7 @@ class RegionMap:
         return self.corner_region[crossing].count(region)
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Checkerboard 2-coloring; the lowest-indexed region is black."""
 
     black: frozenset[int]

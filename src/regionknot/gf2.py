@@ -13,8 +13,7 @@ is tested against live in ``reference``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class Inconsistent(ValueError):
@@ -60,21 +59,25 @@ def _mul_rows(rows: Iterable[int], bits: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Row-major bit-packed matrix over GF(2)."""
-
+class _Gf2MatrixFields(NamedTuple):
     rows: int
     cols: int
     row_bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.row_bits) != self.rows:
+
+class Gf2Matrix(_Gf2MatrixFields):
+    """Row-major bit-packed matrix over GF(2)."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, row_bits: tuple[int, ...]) -> Gf2Matrix:
+        if len(row_bits) != rows:
             raise ValueError("row count mismatch")
-        mask = (1 << self.cols) - 1
-        for r in self.row_bits:
+        mask = (1 << cols) - 1
+        for r in row_bits:
             if r < 0 or r & ~mask:
                 raise ValueError("row bits out of range for column count")
+        return super().__new__(cls, rows, cols, row_bits)
 
     def entry(self, i: int, j: int) -> int:
         return (self.row_bits[i] >> j) & 1

@@ -11,8 +11,8 @@ toggling, elimination per system) live in ``reference``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .diagram import (
     Coloring,
@@ -63,8 +63,7 @@ def region_choice_matrix(d: KnotDiagram, rm: RegionMap | None = None) -> Gf2Matr
     return Gf2Matrix(d.n_crossings, rm.n_regions, tuple(rows))
 
 
-@dataclass(frozen=True)
-class RccMap:
+class RccMap(NamedTuple):
     """The RCC effect map of one diagram: matrix, coloring, and the one
     elimination of the matrix every solve reads.
 

@@ -10,9 +10,9 @@ the check is exact.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .diagram import (
     Basepoint,
@@ -44,8 +44,7 @@ class TooManyCrossings(ValueError):
     """Crossing count exceeds the guard for an exact computation."""
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """Intersection counts of a region set against a checkerboard coloring."""
 
     black_hits: int
@@ -63,8 +62,7 @@ class EquilibriumReport:
         )
 
 
-@dataclass(frozen=True)
-class UnknottingCertificate:
+class UnknottingCertificate(NamedTuple):
     """A replayable witness that RCC on ``regions`` trivializes a diagram."""
 
     regions: frozenset[int]

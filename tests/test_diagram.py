@@ -1,6 +1,6 @@
 """PD parsing, face tracing, coloring, and crossing changes."""
 
-import dataclasses
+import inspect
 import random
 
 import pytest
@@ -194,7 +194,8 @@ def test_equal_diagrams_share_hash_and_cache_entries():
     again = parse_pd(code)  # equal, but a separate instance
     assert again is not d and again == d and hash(again) == hash(d)
     assert repr(again) == repr(d)
-    assert [f.name for f in dataclasses.fields(again)] == ["crossings"]
+    assert list(inspect.signature(KnotDiagram).parameters) == ["crossings"]
+    assert KnotDiagram(d.crossings) == d  # not yet hashed: the cached hash is no part of the value
     assert hash(d) == hash((d.crossings,))
     hits = faces.cache_info().hits, rcc_map.cache_info().hits
     assert faces(again) is faces(d)
@@ -213,3 +214,15 @@ def test_diagram_hashes_its_crossings_once(monkeypatch):
     assert len(calls) == 3
     assert all(hash(d) == first for _ in range(5))
     assert len(calls) == 3
+
+
+def test_diagram_never_equals_a_tuple():
+    d = parse_pd(TREFOIL)
+    for other in [(d.crossings,), (d.crossings, hash(d)), d.crossings, ()]:
+        assert d != other and other != d
+    assert KnotDiagram(()) != () and KnotDiagram(()) != ((),)
+
+
+def test_crossing_rejects_over_in_outside_slots_1_and_3():
+    with pytest.raises(ValueError, match="^over_in must be slot 1 or 3$"):
+        Crossing((1, 2, 3, 4), 2)

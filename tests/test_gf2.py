@@ -24,6 +24,19 @@ def identity(n):
     return Gf2Matrix(n, n, tuple(1 << i for i in range(n)))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, 2, (0,)), "row count mismatch"),
+        ((1, 2, (4,)), "row bits out of range for column count"),
+        ((1, 2, (-1,)), "row bits out of range for column count"),
+    ],
+)
+def test_matrix_constructor_checks_its_rows(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Gf2Matrix(*args)
+
+
 def test_rank_zero_matrix():
     assert rank(Gf2Matrix(2, 3, (0, 0))) == 0
 

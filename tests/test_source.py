@@ -1,6 +1,9 @@
 """Properties of the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "regionknot"
@@ -63,3 +66,17 @@ def test_runtime_never_imports_reference():
             found += [f"{path.name}:{n}" for n in _reference_imports(ast.parse(path.read_text()))]
     assert not found, found
     assert _reference_imports(ast.parse((SRC / "__init__.py").read_text()))  # the walk sees imports
+
+
+def test_import_loads_no_dataclass_machinery():
+    # dataclasses pulls in inspect, ast, dis and tokenize: thousands of lines
+    # of stdlib that every process compiles when no bytecode is cached. The
+    # check needs a fresh interpreter (pytest has imported them all), and -S
+    # keeps site customizations out of it.
+    banned = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    code = f"import sys, regionknot, regionknot.cli; print(*(m for m in {banned!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == []
